@@ -261,27 +261,16 @@ func BenchmarkDSLvsPrimitive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var dslT sim.Duration
-		for it := 0; it < 2; it++ {
-			start := mD.Engine.Now()
-			inst.Launch()
-			if err := mD.Run(); err != nil {
-				b.Fatal(err)
-			}
-			dslT = mD.Engine.Now() - start
-		}
-		mP := machine.New(topology.A100_40G(1))
-		mP.MaterializeLimit = 0
-		cP := collective.New(mP)
-		ex, err := (&collective.AllReduce1PA{TB: 2}).Prepare(cP, allocPair(mP, size), allocPair2(mP, size))
-		if err != nil {
+		start := mD.Engine.Now()
+		inst.Launch()
+		if err := mD.Run(); err != nil {
 			b.Fatal(err)
 		}
-		var primT sim.Duration
-		for it := 0; it < 2; it++ {
-			if primT, err = cP.Run(ex); err != nil {
-				b.Fatal(err)
-			}
+		dslT := mD.Engine.Now() - start
+		primT, _, err := collective.TimeBest(topology.A100_40G(1), size, size,
+			[]collective.Candidate{(&collective.AllReduce1PA{TB: 2}).Prepare})
+		if err != nil {
+			b.Fatal(err)
 		}
 		if i == 0 {
 			b.ReportMetric(float64(dslT-primT)/float64(primT)*100, "overhead%")
@@ -310,17 +299,7 @@ func allocPair2(m *machine.Machine, size int64) []*mem.Buffer {
 // SwitchChannel vs MemoryChannel.
 func BenchmarkAblationChannels(b *testing.B) {
 	measure := func(b *testing.B, env *topology.Env, algo collective.Algorithm, size int64) sim.Duration {
-		m := machine.New(env)
-		m.MaterializeLimit = 0
-		c := collective.New(m)
-		ex, err := algo.Prepare(c, allocPair(m, size), allocPair2(m, size))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Run(ex); err != nil {
-			b.Fatal(err)
-		}
-		d, err := c.Run(ex)
+		d, _, err := collective.TimeBest(env, size, size, []collective.Candidate{algo.Prepare})
 		if err != nil {
 			b.Fatal(err)
 		}

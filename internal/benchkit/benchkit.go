@@ -132,60 +132,44 @@ func Sweep(env *topology.Env, name string, sizes []int64, fn MeasureFn) (Series,
 	return s, nil
 }
 
-// bufs allocates timing-only buffer sets.
-func bufs(m *machine.Machine, inSize, outSize int64) (in, out []*mem.Buffer) {
-	for r := 0; r < len(m.GPUs); r++ {
-		in = append(in, m.Alloc(r, "in", inSize))
-		out = append(out, m.Alloc(r, "out", outSize))
-	}
-	return
-}
-
-// timeBest runs a set of candidate preparations on fresh machines, warming
-// up once and timing the second run, returning the fastest.
-func timeBest(env *topology.Env, inSize, outSize int64,
-	cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)) (sim.Duration, string, error) {
-	best := sim.Duration(math.MaxInt64)
-	bestName := ""
-	for _, prep := range cands {
-		m := machine.New(env)
-		m.MaterializeLimit = 0
-		c := collective.New(m)
-		in, out := bufs(m, inSize, outSize)
-		ex, err := prep(c, in, out)
-		if err != nil {
-			continue // not applicable
-		}
-		if _, err := c.Run(ex); err != nil {
-			return 0, "", fmt.Errorf("%s warmup: %w", ex.Name, err)
-		}
-		d, err := c.Run(ex)
-		if err != nil {
-			return 0, "", fmt.Errorf("%s: %w", ex.Name, err)
-		}
-		if d < best {
-			best, bestName = d, ex.Name
-		}
-	}
-	if bestName == "" {
-		return 0, "", fmt.Errorf("no applicable algorithm")
-	}
-	return best, bestName, nil
-}
-
 // MSCCLPPAllReduce measures the best MSCCL++ AllReduce (all applicable
 // algorithms, best per size — the paper's methodology).
 func MSCCLPPAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	probe := collective.New(machine.New(env))
-	for _, algo := range probe.AllReduceAlgorithms() {
-		a := algo
-		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return a.Prepare(c, in, out)
-		})
-	}
-	return timeBest(env, size, size, cands)
+	return collective.TimeBest(env, size, size, mscclppAllReduceCands(env, size))
 }
+
+// NCCLAllReduce measures tuned NCCL-sim (best of ring Simple/LL and tree).
+func NCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, size, size, ncclAllReduceCands(env, size))
+}
+
+// MSCCLAllReduce measures tuned MSCCL-sim (best custom algorithm per size).
+func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, size, size, mscclAllReduceCands(env, size))
+}
+
+// MSCCLPPAllGather measures the best MSCCL++ AllGather for a gathered size.
+func MSCCLPPAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, shard(env, total), total, mscclppAllGatherCands(env, total))
+}
+
+// NCCLAllGather measures NCCL-sim's ring AllGather.
+func NCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, shard(env, total), total, ncclAllGatherCands(env, total))
+}
+
+// MSCCLAllGather measures MSCCL-sim's all-pairs AllGather (plus ring).
+func MSCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, shard(env, total), total, mscclAllGatherCands(env, total))
+}
+
+// VLLMCustomAllReduce measures the vLLM-style custom kernel.
+func VLLMCustomAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
+	return collective.TimeBest(env, size, size, vllmAllReduceCands(env, size))
+}
+
+// shard is the per-rank input size of an AllGather of total gathered bytes.
+func shard(env *topology.Env, total int64) int64 { return total / int64(env.TotalGPUs()) }
 
 // llSizeCap bounds the sizes at which LL-protocol and one-phase candidates
 // are tried: they are never competitive above a few MB (the paper's tuned
@@ -193,15 +177,34 @@ func MSCCLPPAllReduce(env *topology.Env, size int64) (sim.Duration, string, erro
 // counts make huge-message simulation needlessly slow.
 const llSizeCap = 4 << 20
 
-// NCCLAllReduce measures tuned NCCL-sim (best of ring Simple/LL and tree).
-func NCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	protos := []twosided.Proto{twosided.ProtoSimple}
+// protosUpTo returns the protocols tried at size: Simple always, LL up to
+// llSizeCap.
+func protosUpTo(size int64) []twosided.Proto {
 	if size <= llSizeCap {
-		protos = append(protos, twosided.ProtoLL)
+		return []twosided.Proto{twosided.ProtoSimple, twosided.ProtoLL}
 	}
-	for _, proto := range protos {
-		p := proto
+	return []twosided.Proto{twosided.ProtoSimple}
+}
+
+// The *Cands functions list one library's candidate algorithms at one size
+// for the measure functions above; TestRunTwiceSameDuration runs each one
+// twice to pin that one timed run per candidate suffices.
+
+func prepares(algos []collective.Algorithm) []collective.Candidate {
+	cands := make([]collective.Candidate, len(algos))
+	for i, a := range algos {
+		cands[i] = a.Prepare
+	}
+	return cands
+}
+
+func mscclppAllReduceCands(env *topology.Env, _ int64) []collective.Candidate {
+	return prepares(collective.New(machine.New(env)).AllReduceAlgorithms())
+}
+
+func ncclAllReduceCands(env *topology.Env, size int64) []collective.Candidate {
+	var cands []collective.Candidate
+	for _, p := range protosUpTo(size) {
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
 		})
@@ -211,100 +214,62 @@ func NCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) 
 			})
 		}
 	}
-	return timeBest(env, size, size, cands)
+	return cands
 }
 
-// MSCCLAllReduce measures tuned MSCCL-sim (best custom algorithm per size).
-func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	protos := []twosided.Proto{twosided.ProtoSimple}
-	if size <= llSizeCap {
-		protos = append(protos, twosided.ProtoLL)
-	}
-	if env.Nodes == 1 {
-		if size <= 256<<10 {
-			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
-			})
-		}
-		for _, proto := range protos {
-			p := proto
-			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
-			})
-		}
-		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, twosided.ProtoSimple)
-		})
-	} else {
-		for _, proto := range protos {
-			p := proto
+func mscclAllReduceCands(env *topology.Env, size int64) []collective.Candidate {
+	var cands []collective.Candidate
+	if env.Nodes > 1 {
+		for _, p := range protosUpTo(size) {
 			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 				return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
 			})
 		}
+		return cands
 	}
-	return timeBest(env, size, size, cands)
-}
-
-// MSCCLPPAllGather measures the best MSCCL++ AllGather for a gathered size.
-func MSCCLPPAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	probe := collective.New(machine.New(env))
-	for _, algo := range probe.AllGatherAlgorithms() {
-		a := algo
+	if size <= 256<<10 {
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return a.Prepare(c, in, out)
+			return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
 		})
 	}
-	return timeBest(env, shard, total, cands)
+	for _, p := range protosUpTo(size) {
+		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
+		})
+	}
+	return append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+		return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, twosided.ProtoSimple)
+	})
 }
 
-// NCCLAllGather measures NCCL-sim's ring AllGather.
-func NCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	protos := []twosided.Proto{twosided.ProtoSimple}
-	if total <= llSizeCap {
-		protos = append(protos, twosided.ProtoLL)
-	}
-	for _, proto := range protos {
-		p := proto
+func vllmAllReduceCands(*topology.Env, int64) []collective.Candidate {
+	return []collective.Candidate{(&collective.AllReduce1PAHB{}).Prepare}
+}
+
+func mscclppAllGatherCands(env *topology.Env, _ int64) []collective.Candidate {
+	return prepares(collective.New(machine.New(env)).AllGatherAlgorithms())
+}
+
+func ncclAllGatherCands(_ *topology.Env, total int64) []collective.Candidate {
+	var cands []collective.Candidate
+	for _, p := range protosUpTo(total) {
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, p)
 		})
 	}
-	return timeBest(env, shard, total, cands)
+	return cands
 }
 
-// MSCCLAllGather measures MSCCL-sim's all-pairs AllGather (plus ring).
-func MSCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	shard := total / int64(env.TotalGPUs())
-	var cands []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)
-	protos := []twosided.Proto{twosided.ProtoSimple}
-	if total <= llSizeCap {
-		protos = append(protos, twosided.ProtoLL)
-	}
-	for _, proto := range protos {
-		p := proto
+func mscclAllGatherCands(_ *topology.Env, total int64) []collective.Candidate {
+	var cands []collective.Candidate
+	for _, p := range protosUpTo(total) {
 		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 			return mscclsim.New(c, 0).PrepareAllGatherAllPairs(in, out, p)
-		})
-		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+		}, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
 			return ncclsim.New(c, 0).PrepareAllGatherRing(in, out, p)
 		})
 	}
-	return timeBest(env, shard, total, cands)
-}
-
-// VLLMCustomAllReduce measures the vLLM-style custom kernel.
-func VLLMCustomAllReduce(env *topology.Env, size int64) (sim.Duration, string, error) {
-	return timeBest(env, size, size, []func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error){
-		func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return (&collective.AllReduce1PAHB{}).Prepare(c, in, out)
-		},
-	})
+	return cands
 }
 
 // Geomean returns the geometric mean of positive ratios.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mscclpp/internal/collective"
 	"mscclpp/internal/topology"
 )
 
@@ -62,6 +63,62 @@ func TestHumanSize(t *testing.T) {
 	for n, want := range cases {
 		if got := HumanSize(n); got != want {
 			t.Fatalf("HumanSize(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestRunTwiceSameDuration pins what lets collective.TimeBest time each
+// candidate once: every candidate of every library's AllReduce and
+// AllGather, run twice on one prepared machine, takes exactly the same
+// virtual time both times, so a warm-up run changes no measurement.
+func TestRunTwiceSameDuration(t *testing.T) {
+	libs := []struct {
+		name      string
+		cands     func(env *topology.Env, size int64) []collective.Candidate
+		allGather bool
+	}{
+		{"MSCCL++ AllReduce", mscclppAllReduceCands, false},
+		{"NCCL AllReduce", ncclAllReduceCands, false},
+		{"MSCCL AllReduce", mscclAllReduceCands, false},
+		{"vLLM AllReduce", vllmAllReduceCands, false},
+		{"MSCCL++ AllGather", mscclppAllGatherCands, true},
+		{"NCCL AllGather", ncclAllGatherCands, true},
+		{"MSCCL AllGather", mscclAllGatherCands, true},
+	}
+	ran := make(map[string]int)
+	for _, env := range []*topology.Env{topology.H100(1), topology.A100_40G(2)} {
+		for _, size := range []int64{8 << 10, 256 << 10, 4 << 20} {
+			for _, lib := range libs {
+				inSize := size
+				if lib.allGather {
+					inSize = shard(env, size)
+				}
+				for i, prep := range lib.cands(env, size) {
+					c, in, out := collective.NewTimingComm(env, inSize, size)
+					ex, err := prep(c, in, out)
+					if err != nil {
+						continue // not applicable here
+					}
+					first, err := c.Run(ex)
+					if err != nil {
+						t.Fatalf("%s %s %d cand %d: %v", env.Name, lib.name, size, i, err)
+					}
+					second, err := c.Run(ex)
+					if err != nil {
+						t.Fatalf("%s %s %d cand %d: %v", env.Name, lib.name, size, i, err)
+					}
+					if first != second {
+						t.Errorf("%s %s %s at %d: first run %d ns, second %d ns",
+							env.Name, lib.name, ex.Name, size, first, second)
+					}
+					ran[lib.name]++
+				}
+			}
+		}
+	}
+	for _, lib := range libs {
+		if ran[lib.name] == 0 {
+			t.Errorf("%s: no candidate was applicable anywhere", lib.name)
 		}
 	}
 }

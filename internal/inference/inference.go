@@ -17,7 +17,6 @@ import (
 	"mscclpp/internal/baseline/ncclsim"
 	"mscclpp/internal/baseline/twosided"
 	"mscclpp/internal/collective"
-	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 	"mscclpp/internal/sim"
 	"mscclpp/internal/topology"
@@ -35,10 +34,11 @@ const (
 )
 
 // ARTimer measures AllReduce latency at arbitrary message sizes for one
-// (environment, library) pair, caching per size. Each measurement builds a
-// fresh simulated cluster, prepares the library's best algorithm, warms it
-// up once and times the second invocation (steady state, as with CUDA
-// graphs in the paper).
+// (environment, library) pair, caching per size. Each measurement is one
+// MeasureAllReduce: a fresh simulated cluster per candidate algorithm and
+// one timed run each. The paper times steady-state CUDA-graph replays after
+// a warm-up; here one run is the steady state, because the simulator is
+// deterministic (TestAllReduceCandidatesRunTwiceSameDuration).
 //
 // ARTimer is safe for concurrent use: workload sweeps fan decode/prefill
 // steps out across a worker pool and share one timer per library. The
@@ -83,103 +83,70 @@ func (t *ARTimer) Time(msg int64) sim.Duration {
 	return d
 }
 
-// MeasureAllReduce times one library's best AllReduce at size bytes (warm
-// run measured).
+// MeasureAllReduce times one library's best AllReduce at size bytes over
+// collective.TimeBest: one run per candidate, since the simulator is
+// deterministic (TestAllReduceCandidatesRunTwiceSameDuration pins that a
+// second run takes exactly as long as the first).
 func MeasureAllReduce(env *topology.Env, lib Library, size int64) (sim.Duration, error) {
-	best := sim.Duration(0)
-	run := func(prep func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error)) error {
-		m := machine.New(env)
-		m.MaterializeLimit = 0 // timing only
-		c := collective.New(m)
-		n := c.Ranks()
-		in := make([]*mem.Buffer, n)
-		out := make([]*mem.Buffer, n)
-		for r := 0; r < n; r++ {
-			in[r] = m.Alloc(r, "in", size)
-			out[r] = m.Alloc(r, "out", size)
-		}
-		ex, err := prep(c, in, out)
-		if err != nil {
-			return nil // algorithm not applicable in this configuration
-		}
-		if _, err := c.Run(ex); err != nil { // warm-up
-			return err
-		}
-		d, err := c.Run(ex)
-		if err != nil {
-			return err
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-		return nil
-	}
-	var err error
-	switch lib {
-	case LibMSCCLPP:
-		err = run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return c.SelectAllReduce(size).Prepare(c, in, out)
-		})
-	case LibVLLMCustom:
-		err = run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-			return (&collective.AllReduce1PAHB{}).Prepare(c, in, out)
-		})
-	case LibNCCL:
-		for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-			p := proto
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
-			}); e != nil {
-				err = e
-			}
-			if env.Nodes > 1 {
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-		}
-	case LibMSCCL:
-		if env.Nodes == 1 {
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
-			}); e != nil {
-				err = e
-			}
-			for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-				p := proto
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-			if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-				return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, twosided.ProtoSimple)
-			}); e != nil {
-				err = e
-			}
-		} else {
-			for _, proto := range []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple} {
-				p := proto
-				if e := run(func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
-					return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
-				}); e != nil {
-					err = e
-				}
-			}
-		}
-	default:
-		return 0, fmt.Errorf("inference: unknown library %q", lib)
-	}
+	cands, err := allReduceCandidates(env, lib, size)
 	if err != nil {
 		return 0, err
 	}
-	if best == 0 {
-		return 0, fmt.Errorf("inference: no applicable algorithm for %s at %dB", lib, size)
+	d, _, err := collective.TimeBest(env, size, size, cands)
+	if err != nil {
+		return 0, fmt.Errorf("inference: %s allreduce at %dB: %w", lib, size, err)
 	}
-	return best, nil
+	return d, nil
+}
+
+// allReduceCandidates lists the AllReduce algorithms MeasureAllReduce tries
+// for lib: MSCCL++'s tuned selection, the vLLM-style kernel, or the tuned
+// baselines' ring/tree/all-pairs/hierarchical variants in LL and Simple.
+func allReduceCandidates(env *topology.Env, lib Library, size int64) ([]collective.Candidate, error) {
+	protos := []twosided.Proto{twosided.ProtoLL, twosided.ProtoSimple}
+	var cands []collective.Candidate
+	switch lib {
+	case LibMSCCLPP:
+		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return c.SelectAllReduce(size).Prepare(c, in, out)
+		})
+	case LibVLLMCustom:
+		cands = append(cands, (&collective.AllReduce1PAHB{}).Prepare)
+	case LibNCCL:
+		for _, p := range protos {
+			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+				return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, p)
+			})
+			if env.Nodes > 1 {
+				cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+					return ncclsim.New(c, 0).PrepareAllReduceTree(in, out, p)
+				})
+			}
+		}
+	case LibMSCCL:
+		if env.Nodes > 1 {
+			for _, p := range protos {
+				cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+					return mscclsim.New(c, 0).PrepareAllReduceHier(in, out, p)
+				})
+			}
+			break
+		}
+		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return mscclsim.New(c, 0).PrepareAllReduceAllPairs1P(in, out)
+		})
+		for _, p := range protos {
+			cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+				return mscclsim.New(c, 0).PrepareAllReduceAllPairs2P(in, out, p)
+			})
+		}
+		cands = append(cands, func(c *collective.Comm, in, out []*mem.Buffer) (*collective.Exec, error) {
+			return ncclsim.New(c, 0).PrepareAllReduceRing(in, out, twosided.ProtoSimple)
+		})
+	default:
+		return nil, fmt.Errorf("inference: unknown library %q", lib)
+	}
+	return cands, nil
 }
 
 // Model describes a tensor-parallel transformer for the roofline.

@@ -3,6 +3,7 @@ package inference
 import (
 	"testing"
 
+	"mscclpp/internal/collective"
 	"mscclpp/internal/topology"
 )
 
@@ -178,6 +179,42 @@ func TestKVShardBytesFormula(t *testing.T) {
 		}
 		if got := c.model.KVShardBytes(-5); got != 0 {
 			t.Errorf("%s: KVShardBytes(-5) = %d, want 0", c.name, got)
+		}
+	}
+}
+
+// TestAllReduceCandidatesRunTwiceSameDuration pins what lets
+// MeasureAllReduce (and so ARTimer) time each candidate once: every
+// candidate of every library, run twice on one prepared machine, takes
+// exactly the same virtual time both times.
+func TestAllReduceCandidatesRunTwiceSameDuration(t *testing.T) {
+	for _, env := range []*topology.Env{topology.H100(1), topology.A100_40G(2)} {
+		for _, size := range []int64{8 << 10, 1 << 20, 8 << 20} {
+			for _, lib := range []Library{LibMSCCLPP, LibNCCL, LibMSCCL, LibVLLMCustom} {
+				cands, err := allReduceCandidates(env, lib, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, prep := range cands {
+					c, in, out := collective.NewTimingComm(env, size, size)
+					ex, err := prep(c, in, out)
+					if err != nil {
+						continue // not applicable here
+					}
+					first, err := c.Run(ex)
+					if err != nil {
+						t.Fatalf("%s %s %d cand %d: %v", env.Name, lib, size, i, err)
+					}
+					second, err := c.Run(ex)
+					if err != nil {
+						t.Fatalf("%s %s %d cand %d: %v", env.Name, lib, size, i, err)
+					}
+					if first != second {
+						t.Errorf("%s %s %s at %d: first run %d ns, second %d ns",
+							env.Name, lib, ex.Name, size, first, second)
+					}
+				}
+			}
 		}
 	}
 }

@@ -93,3 +93,40 @@ func TestEPTimerDeterministicCache(t *testing.T) {
 		t.Fatalf("zero tokens should be free, got %+v", z)
 	}
 }
+
+// TestMeasureA2ARepeatable pins what lets MeasureA2A time one dispatch and
+// one combine pass: on one engine, a second dispatch+combine pass takes
+// exactly as long as the first, for both transports and for uniform,
+// skewed and rebalanced routing.
+func TestMeasureA2ARepeatable(t *testing.T) {
+	skewed := moe.DefaultConfig()
+	skewed.Skew = 0.5
+	rebalanced := skewed
+	rebalanced.Placement = moe.PlaceRebalance
+	for _, cfg := range []moe.Config{moe.DefaultConfig(), skewed, rebalanced} {
+		for _, tr := range []moe.Transport{moe.TransportMSCCLPP, moe.TransportIBGDA} {
+			for _, tokens := range []int{1, 24, 257} {
+				e, err := moe.New(topology.H100(2), cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var passes [2]A2ACost
+				for p := range passes {
+					d, err := e.Dispatch(tokens)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := e.Combine(tokens)
+					if err != nil {
+						t.Fatal(err)
+					}
+					passes[p] = A2ACost{Dispatch: d.Elapsed, Combine: c.Elapsed}
+				}
+				if passes[0] != passes[1] {
+					t.Errorf("%s skew=%v placement=%v tokens=%d: first pass %+v, second %+v",
+						tr, cfg.Skew, cfg.Placement, tokens, passes[0], passes[1])
+				}
+			}
+		}
+	}
+}

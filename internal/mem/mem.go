@@ -187,25 +187,52 @@ func (m *Multimem) Size() int64 { return m.Members[0].Size() }
 
 // ReduceInto sums member[*][srcOff:srcOff+n] element-wise into
 // dst[dstOff:dstOff+n] (the in-switch reduction of multimem.ld_reduce).
+// Every member is bounds-checked even when dst is virtual; virtual members
+// contribute nothing to the sum.
 func (m *Multimem) ReduceInto(dst *Buffer, dstOff, srcOff, n int64) {
 	dst.check(dstOff, n)
+	if n == 0 {
+		return
+	}
+	materialized := checkMembers(m.Members, srcOff, n)
 	if dst.data == nil {
 		return
 	}
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: multimem reduce length %d not a multiple of 4", n))
 	}
-	for i := int64(0); i < n; i += 4 {
-		var sum float32
-		for _, mb := range m.Members {
-			mb.check(srcOff+i, 4)
-			if mb.data == nil {
-				continue
-			}
-			sum += math.Float32frombits(binary.LittleEndian.Uint32(mb.data[srcOff+i:]))
-		}
-		binary.LittleEndian.PutUint32(dst.data[dstOff+i:], math.Float32bits(sum))
+	if !materialized {
+		clear(dst.data[dstOff : dstOff+n])
+		return
 	}
+	for i := int64(0); i < n; i += 4 {
+		binary.LittleEndian.PutUint32(dst.data[dstOff+i:], math.Float32bits(sumAt(m.Members, srcOff+i)))
+	}
+}
+
+// checkMembers bounds-checks [off, off+n) on every member (n > 0) and
+// reports whether any member has backing data. Checking the whole range
+// once per member panics on exactly the inputs a per-element check would.
+func checkMembers(members []*Buffer, off, n int64) (materialized bool) {
+	for _, b := range members {
+		b.check(off, n)
+		if b.data != nil {
+			materialized = true
+		}
+	}
+	return materialized
+}
+
+// sumAt returns the sum of the float32 at byte offset off over the
+// materialized members, in member order. Bounds are the caller's job.
+func sumAt(members []*Buffer, off int64) float32 {
+	var sum float32
+	for _, b := range members {
+		if b.data != nil {
+			sum += math.Float32frombits(binary.LittleEndian.Uint32(b.data[off:]))
+		}
+	}
+	return sum
 }
 
 // BroadcastFrom stores src[srcOff:srcOff+n] into every member's
@@ -219,7 +246,9 @@ func (m *Multimem) BroadcastFrom(src *Buffer, dstOff, srcOff, n int64) {
 
 // ReduceBroadcast performs the fused ld_reduce + multimem.st data movement:
 // element-wise sums of src's members at srcOff are stored into every member
-// of dst at dstOff (without touching any intermediate buffer).
+// of dst at dstOff (without touching any intermediate buffer). When no
+// member of src has backing data nothing is stored, so all-virtual groups
+// cost one bounds check per member rather than a pass over the elements.
 func ReduceBroadcast(src, dst *Multimem, dstOff, srcOff, n int64) {
 	if n%4 != 0 {
 		panic(fmt.Sprintf("mem: reduce-broadcast length %d not a multiple of 4", n))
@@ -227,21 +256,11 @@ func ReduceBroadcast(src, dst *Multimem, dstOff, srcOff, n int64) {
 	for _, d := range dst.Members {
 		d.check(dstOff, n)
 	}
+	if n == 0 || !checkMembers(src.Members, srcOff, n) {
+		return
+	}
 	for i := int64(0); i < n; i += 4 {
-		var sum float32
-		any := false
-		for _, sb := range src.Members {
-			sb.check(srcOff+i, 4)
-			if sb.data == nil {
-				continue
-			}
-			any = true
-			sum += math.Float32frombits(binary.LittleEndian.Uint32(sb.data[srcOff+i:]))
-		}
-		if !any {
-			continue
-		}
-		bits := math.Float32bits(sum)
+		bits := math.Float32bits(sumAt(src.Members, srcOff+i))
 		for _, d := range dst.Members {
 			if d.data != nil {
 				binary.LittleEndian.PutUint32(d.data[dstOff+i:], bits)

@@ -211,29 +211,17 @@ func dslVsPrim(r *Report) error {
 		if err != nil {
 			return err
 		}
-		var dslT sim.Duration
-		for i := 0; i < 2; i++ {
-			start := mD.Engine.Now()
-			inst.Launch()
-			if err := mD.Run(); err != nil {
-				return err
-			}
-			dslT = mD.Engine.Now() - start
-		}
-		// Primitive.
-		mP := machine.New(topology.A100_40G(1))
-		mP.MaterializeLimit = 0
-		cP := collective.New(mP)
-		inP, outP := allocBufs(mP, cse.size)
-		ex, err := cse.prim.Prepare(cP, inP, outP)
-		if err != nil {
+		start := mD.Engine.Now()
+		inst.Launch()
+		if err := mD.Run(); err != nil {
 			return err
 		}
-		var primT sim.Duration
-		for i := 0; i < 2; i++ {
-			if primT, err = cP.Run(ex); err != nil {
-				return err
-			}
+		dslT := mD.Engine.Now() - start
+		// Primitive.
+		primT, _, err := collective.TimeBest(topology.A100_40G(1), cse.size, cse.size,
+			[]collective.Candidate{cse.prim.Prepare})
+		if err != nil {
+			return err
 		}
 		ov := float64(dslT-primT) / float64(primT) * 100
 		overheads = append(overheads, ov)
@@ -263,18 +251,8 @@ func allocBufs(m *machine.Machine, size int64) (in, out []*mem.Buffer) {
 func ablation(r *Report) error {
 	r.Println("\nAblations (gain breakdown)")
 	measure := func(env *topology.Env, algo collective.Algorithm, size int64) (sim.Duration, error) {
-		m := machine.New(env)
-		m.MaterializeLimit = 0
-		c := collective.New(m)
-		in, out := allocBufs(m, size)
-		ex, err := algo.Prepare(c, in, out)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := c.Run(ex); err != nil {
-			return 0, err
-		}
-		return c.Run(ex)
+		d, _, err := collective.TimeBest(env, size, size, []collective.Candidate{algo.Prepare})
+		return d, err
 	}
 	// (a) LL vs HB one-phase at 1KB: relaxed synchronization.
 	a100 := topology.A100_40G(1)
