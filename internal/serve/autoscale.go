@@ -374,32 +374,10 @@ type AutoscaleResult struct {
 // Summarize aggregates the cluster-level (merged) result under an SLO.
 func (r *AutoscaleResult) Summarize(slo SLO) Summary { return r.Merged.Summarize(slo) }
 
-// slotState is a fleet slot's lifecycle state.
-type slotState int
-
-const (
-	slotProvisioning slotState = iota // booting; not routable yet
-	slotActive                        // routable
-	slotDraining                      // finishing residents; not routable
-	slotRetired                       // fully drained
-)
-
-// scaleSlot is the driver-side record of one replica the fleet ever
-// provisioned.
-type scaleSlot struct {
-	id       int
-	s        *Scheduler
-	state    slotState
-	canceled bool // scale-down hit while still provisioning
-	retired  bool
-
-	provisionedAt sim.Time
-	activatedAt   sim.Time
-	retiredAt     sim.Time
-	drainIdx      int // index into AutoscaleResult.Drains, -1 if never drained
-
-	// Sampling state: previous cumulative gpu busy time, and (exact
-	// metrics mode) the per-request row cursor with running SLO counters.
+// slotSample is the control loop's per-slot sampling state: previous
+// cumulative gpu busy time, and (exact metrics mode) the per-request row
+// cursor with running SLO counters.
+type slotSample struct {
 	lastBusy sim.Duration
 	cursor   int
 	metCum   int64
@@ -421,10 +399,7 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 	if ac.Policy == nil {
 		return nil, fmt.Errorf("serve: AutoscaleConfig.Policy is nil")
 	}
-	router := ac.Router
-	if router == nil {
-		router = NewJSQ()
-	}
+	router := orJSQ(ac.Router)
 	minR := ac.MinReplicas
 	if minR == 0 {
 		minR = 1
@@ -440,25 +415,23 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 	if minR < 1 || maxR < minR || initR < minR || initR > maxR {
 		return nil, fmt.Errorf("serve: AutoscaleConfig fleet bounds min=%d init=%d max=%d", minR, initR, maxR)
 	}
-	interval := ac.Interval
-	if interval == 0 {
-		interval = 15 * sim.Second
-	}
-	delay := ac.ProvisionDelay
-	if delay == 0 {
-		delay = 30 * sim.Second
+	interval, delay, err := controlTiming(ac.Interval, ac.ProvisionDelay)
+	if err != nil {
+		return nil, err
 	}
 	price := ac.GPUHourPrice
 	if price == 0 {
 		price = 2.5
 	}
-	if interval < 0 || delay < 0 || price < 0 {
-		return nil, fmt.Errorf("serve: AutoscaleConfig interval=%d provision-delay=%d gpu-hour-price=%g", interval, delay, price)
+	if price < 0 {
+		return nil, fmt.Errorf("serve: AutoscaleConfig gpu-hour-price=%g", price)
 	}
-	c, admitted, rejected, err := prepare(ac.Replica, wl)
+	d, err := newDeployment(ac.Replica, wl, router)
 	if err != nil {
 		return nil, err
 	}
+	d.delay, d.eager, d.name = delay, true, replicaName
+	c := d.c
 	sloFor := func(p int) SLO {
 		if s, ok := c.TierSLOs[p]; ok {
 			return s
@@ -466,129 +439,27 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 		return c.SLO
 	}
 
-	eng := sim.NewEngine()
 	out := &AutoscaleResult{Policy: ac.Policy.Name(), RouterPolicy: router.Name()}
-	var (
-		fleet        []*scaleSlot
-		activeScheds []*Scheduler
-		peak         int
-		streamEnded  bool
-	)
-	rebuild := func() {
-		activeScheds = activeScheds[:0]
-		for _, sl := range fleet {
-			if sl.state == slotActive {
-				activeScheds = append(activeScheds, sl.s)
-			}
+	drainIdx := map[int]int{} // slot id -> index into out.Drains
+	d.note = func(now sim.Time, ev string, sl *slot) {
+		id := -1
+		if sl != nil {
+			id = sl.id
 		}
-		if len(activeScheds) > peak {
-			peak = len(activeScheds)
+		if k, ok := drainIdx[id]; ok && ev == "retire" {
+			out.Drains[k].RetiredNs = now
+			out.Drains[k].Stranded = sl.owned()
 		}
-	}
-	counts := func() (active, prov, drain int) {
-		for _, sl := range fleet {
-			switch sl.state {
-			case slotProvisioning:
-				if !sl.canceled {
-					prov++
-				}
-			case slotActive:
-				active++
-			case slotDraining:
-				drain++
-			}
-		}
-		return
-	}
-	record := func(t sim.Time, ev string, id int) {
-		a, p, d := counts()
-		out.Fleet = append(out.Fleet, FleetEvent{TimeNs: t, Event: ev, Replica: id,
-			Active: a, Provisioning: p, Draining: d})
-	}
-
-	spawn := func(now sim.Time, booted bool) {
-		sl := &scaleSlot{id: len(fleet), provisionedAt: now, drainIdx: -1}
-		s, err := NewScheduler(eng, fmt.Sprintf("replica-%d", sl.id), ac.Replica)
-		if err != nil {
-			// prepare validated the identical config; this cannot fire.
-			panic(fmt.Sprintf("serve: autoscale spawn: %v", err))
-		}
-		s.res.Workload = wl.Name
-		sl.s = s
-		s.onRetired = func(at sim.Time) {
-			stranded := s.ActiveRequests() + s.QueuedRequests() + s.transit()
-			sl.state = slotRetired
-			sl.retired = true
-			sl.retiredAt = at
-			if sl.drainIdx >= 0 {
-				out.Drains[sl.drainIdx].RetiredNs = at
-				out.Drains[sl.drainIdx].Stranded = stranded
-			}
-			rebuild()
-			record(at, "retire", sl.id)
-		}
-		fleet = append(fleet, sl)
-		if booted {
-			sl.state = slotActive
-			sl.activatedAt = now
-			rebuild()
-			return
-		}
-		sl.state = slotProvisioning
-		record(now, "provision", sl.id)
-		eng.At(now+delay, func() {
-			if sl.canceled || streamEnded {
-				// The boot completes into a fleet that no longer wants it:
-				// the lifetime is still billed, but it never admits.
-				sl.s.Close()
-				return
-			}
-			sl.state = slotActive
-			sl.activatedAt = eng.Now()
-			rebuild()
-			record(eng.Now(), "activate", sl.id)
-		})
-	}
-
-	drainOne := func(now sim.Time) {
-		// Victim: the least-loaded active replica, newest slot on ties.
-		var victim *scaleSlot
-		for _, sl := range fleet {
-			if sl.state != slotActive {
-				continue
-			}
-			if victim == nil || sl.s.InFlightTokens() < victim.s.InFlightTokens() ||
-				(sl.s.InFlightTokens() == victim.s.InFlightTokens() && sl.id > victim.id) {
-				victim = sl
-			}
-		}
-		if victim == nil {
-			return
-		}
-		victim.state = slotDraining
-		rebuild()
-		handoff := victim.s.Drain()
-		victim.drainIdx = len(out.Drains)
-		out.Drains = append(out.Drains, DrainEvent{
-			TimeNs:    now,
-			Replica:   victim.id,
-			HandedOff: len(handoff),
-			Residents: victim.s.ActiveRequests() + victim.s.QueuedRequests() + victim.s.transit(),
-		})
-		for _, req := range handoff {
-			i := router.Pick(req, activeScheds)
-			if i < 0 || i >= len(activeScheds) {
-				panic(fmt.Sprintf("serve: policy %s picked replica %d of %d", router.Name(), i, len(activeScheds)))
-			}
-			activeScheds[i].Submit(req)
-		}
-		record(now, "drain", victim.id)
+		p, dr := d.census()
+		out.Fleet = append(out.Fleet, FleetEvent{TimeNs: now, Event: ev, Replica: id,
+			Active: len(d.pools[roleUnified]), Provisioning: p, Draining: dr})
 	}
 
 	// slotTotals returns a slot's cumulative completed/SLO-met request
 	// counts: streamed tier counters, or (exact mode) an incremental scan
 	// of the rows appended since the last sample.
-	slotTotals := func(sl *scaleSlot) (met, done int64) {
+	var samp []slotSample // indexed by slot id
+	slotTotals := func(sl *slot, st *slotSample) (met, done int64) {
 		if sl.s.stream != nil {
 			for _, t := range sl.s.stream.Tiers {
 				met += t.Met
@@ -597,41 +468,44 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 			return met, done
 		}
 		rows := sl.s.res.PerRequest
-		for ; sl.cursor < len(rows); sl.cursor++ {
-			m := rows[sl.cursor]
+		for ; st.cursor < len(rows); st.cursor++ {
+			m := rows[st.cursor]
 			if m.Rejected {
 				continue
 			}
-			sl.doneCum++
+			st.doneCum++
 			if sloFor(m.Priority).Met(m) {
-				sl.metCum++
+				st.metCum++
 			}
 		}
-		return sl.metCum, sl.doneCum
+		return st.metCum, st.doneCum
 	}
 
 	var prevT sim.Time
 	var prevMet, prevDone int64
 	sample := func(now sim.Time) ScaleSignals {
-		a, p, d := counts()
-		sig := ScaleSignals{TimeNs: now, Active: a, Provisioning: p, Draining: d, Min: minR, Max: maxR}
+		p, dr := d.census()
+		a := len(d.pools[roleUnified])
+		sig := ScaleSignals{TimeNs: now, Active: a, Provisioning: p, Draining: dr, Min: minR, Max: maxR}
+		for len(samp) < len(d.slots) {
+			samp = append(samp, slotSample{})
+		}
 		var busyDelta sim.Duration
-		for _, sl := range fleet {
+		var met, done int64
+		for i, sl := range d.slots {
+			st := &samp[i]
 			if sl.state == slotActive {
 				sig.QueuedRequests += sl.s.QueuedRequests()
 				sig.InFlightTokens += sl.s.InFlightTokens()
-				busyDelta += sl.s.GPUBusy() - sl.lastBusy
+				busyDelta += sl.s.GPUBusy() - st.lastBusy
 			}
-			sl.lastBusy = sl.s.GPUBusy()
+			st.lastBusy = sl.s.GPUBusy()
+			m, dn := slotTotals(sl, st)
+			met += m
+			done += dn
 		}
 		if w := now - prevT; w > 0 && a > 0 {
 			sig.Utilization = float64(busyDelta) / (float64(w) * float64(a))
-		}
-		var met, done int64
-		for _, sl := range fleet {
-			m, dn := slotTotals(sl)
-			met += m
-			done += dn
 		}
 		sig.Completed = done - prevDone
 		sig.Attainment = 1
@@ -643,99 +517,57 @@ func RunAutoscaled(ac AutoscaleConfig, wl Workload) (*AutoscaleResult, error) {
 		return sig
 	}
 
-	for i := 0; i < initR; i++ {
-		spawn(0, true)
-	}
-
-	var tick func()
-	tick = func() {
-		if streamEnded {
-			return
-		}
-		now := eng.Now()
+	control := func(now sim.Time) {
 		sig := sample(now)
 		desired := clampReplicas(ac.Policy.Desired(sig), minR, maxR)
 		cur := sig.Active + sig.Provisioning
 		if desired > cur {
 			out.ScaleUps += desired - cur
 			for i := cur; i < desired; i++ {
-				spawn(now, false)
+				d.provision(d.newSlot(len(d.slots), roleUnified), roleUnified, "provision")
 			}
-		} else if desired < cur {
-			down := cur - desired
-			out.ScaleDowns += down
-			// Cancel capacity still booting first — it holds no requests.
-			for _, sl := range fleet {
-				if down == 0 {
-					break
-				}
-				if sl.state == slotProvisioning && !sl.canceled {
-					sl.canceled = true
-					record(now, "cancel", sl.id)
-					down--
-				}
+			return
+		}
+		down := cur - desired
+		out.ScaleDowns += down
+		// Cancel capacity still booting first — it holds no requests.
+		for _, sl := range d.slots {
+			if down == 0 {
+				break
 			}
-			for ; down > 0; down-- {
-				drainOne(now)
+			if sl.state == slotProvisioning && !sl.canceled {
+				sl.canceled = true
+				d.note(now, "cancel", sl)
+				down--
 			}
 		}
-		eng.At(now+interval, tick)
+		for ; down > 0; down-- {
+			v, handed := d.drain(roleUnified, roleUnified)
+			if v == nil {
+				continue
+			}
+			drainIdx[v.id] = len(out.Drains)
+			out.Drains = append(out.Drains, DrainEvent{TimeNs: now, Replica: v.id, HandedOff: handed, Residents: v.owned()})
+		}
 	}
-	eng.At(interval, tick)
 
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := router.Pick(req, activeScheds)
-			if i < 0 || i >= len(activeScheds) {
-				panic(fmt.Sprintf("serve: policy %s picked replica %d of %d", router.Name(), i, len(activeScheds)))
-			}
-			activeScheds[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
+	for i := 0; i < initR; i++ {
+		if err := d.add(i, roleUnified); err != nil {
+			return nil, err
 		}
 	}
-	eng.At(last, func() {
-		streamEnded = true
-		for _, sl := range fleet {
-			if sl.state == slotActive {
-				sl.s.Close()
-			}
-		}
-		record(eng.Now(), "close", -1)
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	scheds := make([]*Scheduler, len(fleet))
-	for i, sl := range fleet {
-		scheds[i] = sl.s
-	}
-	if err := checkDrained(scheds...); err != nil {
+	if err := d.run(interval, control); err != nil {
 		return nil, err
 	}
-	for _, sl := range fleet {
-		if !sl.retired {
-			return nil, fmt.Errorf("serve: replica %d never retired (state %d)", sl.id, sl.state)
-		}
-	}
-
-	out.PerReplica = make([]*Result, len(fleet))
-	for i, sl := range fleet {
-		out.PerReplica[i] = sl.s.Result()
-	}
-	parts := append(append([]*Result{}, out.PerReplica...), rejectedPart(c, rejected))
-	out.Merged = MergeResults(parts...)
-	out.Merged.Workload = wl.Name
-	out.Econ = econReport(c, price, fleet, out.Merged, peak, sloFor)
+	out.PerReplica = d.results()
+	out.Merged = d.merge(out.PerReplica)
+	out.Econ = econReport(c, price, d.slots, out.Merged, d.peak, sloFor)
 	return out, nil
 }
 
 // econReport derives the economics ledger from the fleet's lifetimes and
 // the merged metrics.
-func econReport(c Config, price float64, fleet []*scaleSlot, merged *Result, peak int, sloFor func(int) SLO) EconReport {
+func econReport(c Config, price float64, fleet []*slot, merged *Result, peak int, sloFor func(int) SLO) EconReport {
 	e := EconReport{GPUHourPrice: price, PeakReplicas: peak}
 	gpus := float64(c.Env.TotalGPUs())
 	var lifeNs float64

@@ -158,28 +158,6 @@ type RatioScaleResult struct {
 // Summarize aggregates the cluster-level (merged) result under an SLO.
 func (r *RatioScaleResult) Summarize(slo SLO) Summary { return r.Merged.Summarize(slo) }
 
-// ratioSlotState is a slot's lifecycle state in the ratio scaler.
-type ratioSlotState int
-
-const (
-	ratioActive    ratioSlotState = iota // routable in its pool
-	ratioDraining                        // conversion drain in progress
-	ratioRebooting                       // drained; role switch under way
-	ratioDone                            // closed for good
-)
-
-// ratioSlot is one replica slot of a ratio-scaled deployment. The slot
-// (and its KV-fabric group) is permanent; the scheduler behind it is
-// replaced on each role conversion.
-type ratioSlot struct {
-	id     int
-	s      *Scheduler
-	role   role // current scheduler's role
-	target role // role after any in-flight conversion
-	state  ratioSlotState
-	gen    int // boot generation, for unique engine names
-}
-
 // RunAutoscaledDisagg replays the workload against a disaggregated
 // deployment whose prefill:decode split is re-balanced by a control loop:
 // every Interval the loop samples both pools' queue and backlog signals
@@ -198,9 +176,6 @@ func RunAutoscaledDisagg(dc DisaggScaleConfig, wl Workload) (*RatioScaleResult, 
 	initP := dc.InitialPrefill
 	if initP == 0 {
 		initP = slots / 2
-		if initP < 1 {
-			initP = 1
-		}
 	}
 	if initP < 1 || initP > slots-1 {
 		return nil, fmt.Errorf("serve: DisaggScaleConfig.InitialPrefill = %d of %d slots", initP, slots)
@@ -209,171 +184,72 @@ func RunAutoscaledDisagg(dc DisaggScaleConfig, wl Workload) (*RatioScaleResult, 
 	if pol == nil {
 		pol = NewBacklogRatio()
 	}
-	ppol := dc.PrefillPolicy
-	if ppol == nil {
-		ppol = NewJSQ()
-	}
-	dpol := dc.DecodePolicy
-	if dpol == nil {
-		dpol = NewJSQ()
-	}
-	interval := dc.Interval
-	if interval == 0 {
-		interval = 15 * sim.Second
-	}
-	delay := dc.ProvisionDelay
-	if delay == 0 {
-		delay = 30 * sim.Second
-	}
-	if interval < 0 || delay < 0 {
-		return nil, fmt.Errorf("serve: DisaggScaleConfig interval=%d provision-delay=%d", interval, delay)
-	}
-	c, admitted, rejected, err := prepare(dc.Replica, wl)
+	ppol, dpol := orJSQ(dc.PrefillPolicy), orJSQ(dc.DecodePolicy)
+	interval, delay, err := controlTiming(dc.Interval, dc.ProvisionDelay)
 	if err != nil {
 		return nil, err
 	}
-
-	fabEnv := *c.Env
-	fabEnv.Name = c.Env.Name + "-kv"
-	fabEnv.Nodes = c.Env.Nodes * slots
-	link, err := NewKVLink(&fabEnv, slots)
+	d, err := newDeployment(dc.Replica, wl, ppol)
 	if err != nil {
 		return nil, err
 	}
-	lanes := int64(c.Env.TotalGPUs())
-
-	expect := 0
-	for _, r := range admitted.Requests {
-		if r.OutputLen > 1 {
-			expect++
+	if err := d.disaggregate(slots, dpol); err != nil {
+		return nil, err
+	}
+	d.delay = delay
+	d.name = func(sl *slot) string {
+		pool := "prefill"
+		if sl.role == roleDecode {
+			pool = "decode"
 		}
+		return fmt.Sprintf("%s-slot%d-g%d", pool, sl.id, sl.gen)
 	}
-	delivered := 0
 
-	eng := sim.NewEngine()
 	out := &RatioScaleResult{Policy: pol.Name(), PrefillPolicy: ppol.Name(), DecodePolicy: dpol.Name()}
-	var (
-		slotList     []*ratioSlot
-		preScheds    []*Scheduler
-		decScheds    []*Scheduler
-		decIDs       []int // slot id per decScheds entry (fabric group of a placement)
-		allScheds    []*Scheduler
-		converting   int
-		streamEnded  bool
-		prefillDone  bool // prefill pool closed (end of arrivals)
-		decodeClosed bool
-	)
-	rebuild := func() {
-		preScheds, decScheds, decIDs = preScheds[:0], decScheds[:0], decIDs[:0]
-		for _, sl := range slotList {
-			if sl.state != ratioActive {
-				continue
-			}
-			if sl.role == rolePrefill {
-				preScheds = append(preScheds, sl.s)
-			} else {
-				decScheds = append(decScheds, sl.s)
-				decIDs = append(decIDs, sl.id)
-			}
+	// Every slot mid-conversion is draining or provisioning: the ratio
+	// scaler never cancels a boot.
+	converting := func() int {
+		p, dr := d.census()
+		return p + dr
+	}
+	d.note = func(now sim.Time, ev string, sl *slot) {
+		id := -1
+		if sl != nil {
+			id = sl.id
 		}
+		if ev == "activate" {
+			out.Conversions++
+		}
+		out.Fleet = append(out.Fleet, RatioEvent{TimeNs: now, Event: ev, Slot: id,
+			Prefill: len(d.pools[rolePrefill]), Decode: len(d.pools[roleDecode]), Converting: converting()})
 	}
-	record := func(t sim.Time, ev string, id int) {
-		out.Fleet = append(out.Fleet, RatioEvent{TimeNs: t, Event: ev, Slot: id,
-			Prefill: len(preScheds), Decode: len(decScheds), Converting: converting})
-	}
-	closeDecode := func(now sim.Time) {
-		if decodeClosed {
+
+	control := func(now sim.Time) {
+		sig := RatioSignals{TimeNs: now, Slots: slots, Converting: converting(),
+			PrefillReplicas: len(d.pools[rolePrefill]), DecodeReplicas: len(d.pools[roleDecode])}
+		for _, s := range d.pools[rolePrefill] {
+			sig.PrefillQueued += s.QueuedRequests()
+			sig.PrefillTokens += s.InFlightTokens()
+		}
+		for _, s := range d.pools[roleDecode] {
+			sig.DecodeQueued += s.QueuedRequests()
+			sig.DecodeTokens += s.InFlightTokens()
+		}
+		out.Samples = append(out.Samples, sig)
+		if sig.Converting > 0 {
 			return
 		}
-		decodeClosed = true
-		for _, sl := range slotList {
-			if sl.state == ratioActive && sl.role == roleDecode {
-				sl.s.Close()
+		desired := clampReplicas(pol.DesiredPrefill(sig), 1, slots-1)
+		curP := 0
+		for _, sl := range d.slots {
+			if sl.state != slotRetired && sl.target == rolePrefill {
+				curP++
 			}
 		}
-		record(now, "close-decode", -1)
-	}
-	maybeCloseDecode := func(now sim.Time) {
-		if streamEnded && delivered == expect {
-			closeDecode(now)
-		}
-	}
-
-	var spawnSlot func(sl *ratioSlot, ro role)
-	spawnSlot = func(sl *ratioSlot, ro role) {
-		poolName := "prefill"
-		if ro == roleDecode {
-			poolName = "decode"
-		}
-		s, err := newScheduler(eng, fmt.Sprintf("%s-slot%d-g%d", poolName, sl.id, sl.gen), c, ro)
-		if err != nil {
-			// prepare validated the identical config; this cannot fire.
-			panic(fmt.Sprintf("serve: ratio spawn: %v", err))
-		}
-		s.res.Workload = wl.Name
-		sl.s = s
-		sl.role = ro
-		allScheds = append(allScheds, s)
-		if ro == rolePrefill {
-			src := sl.id
-			s.onPrefilled = func(pr Prefilled, end sim.Time, release func()) {
-				j := dpol.Pick(pr.Req, decScheds)
-				if j < 0 || j >= len(decScheds) {
-					panic(fmt.Sprintf("serve: decode policy %s picked replica %d of %d", dpol.Name(), j, len(decScheds)))
-				}
-				shard := c.Model.KVShardBytes(pr.Req.PromptLen)
-				hEnd := link.Transfer(end, src, decIDs[j], shard)
-				pr.HandoffBytes = shard * lanes
-				pr.HandoffDur = hEnd - end
-				out.Handoffs++
-				out.HandoffBytes += pr.HandoffBytes
-				out.HandoffMeanNs += pr.HandoffDur // sum here; divided after the run
-				if pr.HandoffDur > out.HandoffMaxNs {
-					out.HandoffMaxNs = pr.HandoffDur
-				}
-				pendTok := int64(pr.Req.OutputLen - 1)
-				dst := decScheds[j]
-				dst.reservePending(pendTok)
-				done := pr
-				eng.At(hEnd, func() {
-					release()
-					dst.reservePending(-pendTok)
-					dst.SubmitPrefilled(done)
-					delivered++
-					maybeCloseDecode(eng.Now())
-				})
-			}
-		}
-		s.onRetired = func(at sim.Time) {
-			if sl.state != ratioDraining {
-				// End-of-run drain of a closed pool member.
-				sl.state = ratioDone
-				rebuild()
-				record(at, "retire", sl.id)
-				return
-			}
-			// Conversion drain finished: switch roles after the reboot delay.
-			sl.state = ratioRebooting
-			record(at, "reboot", sl.id)
-			target := sl.target
-			eng.At(at+delay, func() {
-				now := eng.Now()
-				if (target == rolePrefill && prefillDone) || (target == roleDecode && decodeClosed) {
-					// The pool this slot was rebooting into has already
-					// closed; the slot stays down.
-					sl.state = ratioDone
-					converting--
-					record(now, "abort", sl.id)
-					return
-				}
-				sl.gen++
-				spawnSlot(sl, target)
-				sl.state = ratioActive
-				converting--
-				out.Conversions++
-				rebuild()
-				record(now, "activate", sl.id)
-			})
+		if desired > curP {
+			d.drain(roleDecode, rolePrefill)
+		} else if desired < curP {
+			d.drain(rolePrefill, roleDecode)
 		}
 	}
 
@@ -382,126 +258,15 @@ func RunAutoscaledDisagg(dc DisaggScaleConfig, wl Workload) (*RatioScaleResult, 
 		if i < initP {
 			ro = rolePrefill
 		}
-		sl := &ratioSlot{id: i, target: ro, state: ratioActive}
-		slotList = append(slotList, sl)
-		spawnSlot(sl, ro)
-	}
-	rebuild()
-
-	convertOne := func(now sim.Time, from role) {
-		var victim *ratioSlot
-		for _, sl := range slotList {
-			if sl.state != ratioActive || sl.role != from {
-				continue
-			}
-			if victim == nil || sl.s.InFlightTokens() < victim.s.InFlightTokens() ||
-				(sl.s.InFlightTokens() == victim.s.InFlightTokens() && sl.id > victim.id) {
-				victim = sl
-			}
-		}
-		if victim == nil {
-			return
-		}
-		if from == rolePrefill {
-			victim.target = roleDecode
-		} else {
-			victim.target = rolePrefill
-		}
-		victim.state = ratioDraining
-		converting++
-		rebuild()
-		handoff := victim.s.Drain()
-		for _, req := range handoff {
-			i := ppol.Pick(req, preScheds)
-			if i < 0 || i >= len(preScheds) {
-				panic(fmt.Sprintf("serve: prefill policy %s picked replica %d of %d", ppol.Name(), i, len(preScheds)))
-			}
-			preScheds[i].Submit(req)
-		}
-		record(now, "convert", victim.id)
-	}
-
-	sample := func(now sim.Time) RatioSignals {
-		sig := RatioSignals{TimeNs: now, Slots: slots, Converting: converting,
-			PrefillReplicas: len(preScheds), DecodeReplicas: len(decScheds)}
-		for _, s := range preScheds {
-			sig.PrefillQueued += s.QueuedRequests()
-			sig.PrefillTokens += s.InFlightTokens()
-		}
-		for _, s := range decScheds {
-			sig.DecodeQueued += s.QueuedRequests()
-			sig.DecodeTokens += s.InFlightTokens()
-		}
-		out.Samples = append(out.Samples, sig)
-		return sig
-	}
-
-	var tick func()
-	tick = func() {
-		if streamEnded {
-			return
-		}
-		now := eng.Now()
-		sig := sample(now)
-		if converting == 0 {
-			desired := clampReplicas(pol.DesiredPrefill(sig), 1, slots-1)
-			curP := 0
-			for _, sl := range slotList {
-				if sl.state != ratioDone && sl.target == rolePrefill {
-					curP++
-				}
-			}
-			if desired > curP {
-				convertOne(now, roleDecode)
-			} else if desired < curP {
-				convertOne(now, rolePrefill)
-			}
-		}
-		eng.At(now+interval, tick)
-	}
-	eng.At(interval, tick)
-
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := ppol.Pick(req, preScheds)
-			if i < 0 || i >= len(preScheds) {
-				panic(fmt.Sprintf("serve: prefill policy %s picked replica %d of %d", ppol.Name(), i, len(preScheds)))
-			}
-			preScheds[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
+		if err := d.add(i, ro); err != nil {
+			return nil, err
 		}
 	}
-	eng.At(last, func() {
-		streamEnded = true
-		prefillDone = true
-		for _, sl := range slotList {
-			if sl.state == ratioActive && sl.role == rolePrefill {
-				sl.s.Close()
-			}
-		}
-		record(eng.Now(), "close-prefill", -1)
-		maybeCloseDecode(eng.Now())
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(allScheds...); err != nil {
+	if err := d.run(interval, control); err != nil {
 		return nil, err
 	}
-
-	out.Results = make([]*Result, len(allScheds))
-	for i, s := range allScheds {
-		out.Results[i] = s.Result()
-	}
-	parts := append(append([]*Result{}, out.Results...), rejectedPart(c, rejected))
-	out.Merged = MergeResults(parts...)
-	out.Merged.Workload = wl.Name
-	if out.Handoffs > 0 {
-		out.HandoffMeanNs /= sim.Duration(out.Handoffs)
-	}
+	out.Results = d.results()
+	out.Merged = d.merge(out.Results)
+	out.Handoffs, out.HandoffBytes, out.HandoffMeanNs, out.HandoffMaxNs = d.kv.n, d.kv.bytes, d.kv.mean(), d.kv.max
 	return out, nil
 }

@@ -153,155 +153,57 @@ func (r *DisaggResult) Summarize(slo SLO) Summary { return r.Merged.Summarize(sl
 // admit the request — all inside one discrete-event timeline, so decode
 // batching overlaps in-flight transfers and results are bit-stable.
 func RunDisaggregated(dc DisaggConfig, wl Workload) (*DisaggResult, error) {
-	if dc.PrefillReplicas < 1 || dc.DecodeReplicas < 1 {
-		return nil, fmt.Errorf("serve: DisaggConfig pools %d prefill / %d decode (both must be >= 1)",
-			dc.PrefillReplicas, dc.DecodeReplicas)
-	}
-	c, admitted, rejected, err := prepare(dc.Replica, wl)
-	if err != nil {
-		return nil, err
-	}
-	ppol := dc.PrefillPolicy
-	if ppol == nil {
-		ppol = NewJSQ()
-	}
-	dpol := dc.DecodePolicy
-	if dpol == nil {
-		dpol = NewJSQ()
-	}
 	nP, nD := dc.PrefillReplicas, dc.DecodeReplicas
-
-	// The handoff fabric spans every replica of both pools: replica group
-	// i in [0, nP) is a prefill replica, group nP+j a decode replica, each
-	// owning its own copy of the per-replica environment's nodes. With
-	// whole nodes per replica every handoff crosses nodes and pays RDMA;
-	// KVLink itself also prices colocated (same-node, DMA) layouts.
-	fabEnv := *c.Env
-	fabEnv.Name = c.Env.Name + "-kv"
-	fabEnv.Nodes = c.Env.Nodes * (nP + nD)
-	link, err := NewKVLink(&fabEnv, nP+nD)
+	if nP < 1 || nD < 1 {
+		return nil, fmt.Errorf("serve: DisaggConfig pools %d prefill / %d decode (both must be >= 1)", nP, nD)
+	}
+	ppol, dpol := orJSQ(dc.PrefillPolicy), orJSQ(dc.DecodePolicy)
+	d, err := newDeployment(dc.Replica, wl, ppol)
 	if err != nil {
 		return nil, err
 	}
-	lanes := int64(c.Env.TotalGPUs())
-
-	// Decode-pool shutdown: the pool closes once every multi-token request
-	// has been delivered (one-token requests complete on the prefill side
-	// and never hand off).
-	expect := 0
-	for _, r := range admitted.Requests {
-		if r.OutputLen > 1 {
-			expect++
-		}
-	}
-	delivered := 0
-
-	eng := sim.NewEngine()
-	dec := make([]*Scheduler, nD)
-	for j := range dec {
-		s, err := newScheduler(eng, fmt.Sprintf("decode-%d", j), c, roleDecode)
-		if err != nil {
-			return nil, err
-		}
-		s.res.Workload = wl.Name
-		dec[j] = s
-	}
-	closeDecode := func() {
-		for _, s := range dec {
-			s.Close()
-		}
-	}
-
-	out := &DisaggResult{PrefillPolicy: ppol.Name(), DecodePolicy: dpol.Name()}
-	pre := make([]*Scheduler, nP)
-	for i := range pre {
-		s, err := newScheduler(eng, fmt.Sprintf("prefill-%d", i), c, rolePrefill)
-		if err != nil {
-			return nil, err
-		}
-		s.res.Workload = wl.Name
-		group := i
-		s.onPrefilled = func(pr Prefilled, end sim.Time, release func()) {
-			j := dpol.Pick(pr.Req, dec)
-			if j < 0 || j >= len(dec) {
-				panic(fmt.Sprintf("serve: decode policy %s picked replica %d of %d", dpol.Name(), j, len(dec)))
-			}
-			shard := c.Model.KVShardBytes(pr.Req.PromptLen)
-			hEnd := link.Transfer(end, group, nP+j, shard)
-			pr.HandoffBytes = shard * lanes
-			pr.HandoffDur = hEnd - end
-			out.Handoffs++
-			out.HandoffBytes += pr.HandoffBytes
-			out.HandoffMeanNs += pr.HandoffDur // sum here; divided after the run
-			if pr.HandoffDur > out.HandoffMaxNs {
-				out.HandoffMaxNs = pr.HandoffDur
-			}
-			// Commit the decode work to the chosen replica immediately so
-			// later placement decisions see transfers still on the wire —
-			// otherwise every prefill completing within one handoff window
-			// would tie-break onto the same decode replica.
-			pendTok := int64(pr.Req.OutputLen - 1)
-			dec[j].reservePending(pendTok)
-			// The prompt KV stays pinned on the prefill replica until the
-			// transfer ends; only then may the decode pool admit. The
-			// release callback frees whatever the prefill scheduler holds
-			// for the request — reserved bytes or paged blocks.
-			dst, done := dec[j], pr
-			eng.At(hEnd, func() {
-				release()
-				dst.reservePending(-pendTok)
-				dst.SubmitPrefilled(done)
-				delivered++
-				if delivered == expect {
-					closeDecode()
-				}
-			})
-		}
-		pre[i] = s
-	}
-
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := ppol.Pick(req, pre)
-			if i < 0 || i >= len(pre) {
-				panic(fmt.Sprintf("serve: prefill policy %s picked replica %d of %d", ppol.Name(), i, len(pre)))
-			}
-			pre[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-	}
-	eng.At(last, func() {
-		for _, s := range pre {
-			s.Close()
-		}
-		if expect == 0 {
-			closeDecode()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(append(append([]*Scheduler{}, pre...), dec...)...); err != nil {
+	// Fabric group i in [0, nP) is prefill replica i, group nP+j decode
+	// replica j.
+	if err := d.disaggregate(nP+nD, dpol); err != nil {
 		return nil, err
 	}
-
-	out.PerPrefill = make([]*Result, nP)
-	for i, s := range pre {
-		out.PerPrefill[i] = s.Result()
+	d.name = func(sl *slot) string {
+		if sl.role == rolePrefill {
+			return fmt.Sprintf("prefill-%d", sl.id)
+		}
+		return fmt.Sprintf("decode-%d", sl.id-nP)
 	}
-	out.PerDecode = make([]*Result, nD)
-	for j, s := range dec {
-		out.PerDecode[j] = s.Result()
+	for j := 0; j < nD; j++ {
+		if err := d.add(nP+j, roleDecode); err != nil {
+			return nil, err
+		}
 	}
-	all := append(append([]*Result{}, out.PerPrefill...), out.PerDecode...)
-	all = append(all, rejectedPart(c, rejected))
-	out.Merged = MergeResults(all...)
-	if out.Handoffs > 0 {
-		out.HandoffMeanNs /= sim.Duration(out.Handoffs)
+	for i := 0; i < nP; i++ {
+		if err := d.add(i, rolePrefill); err != nil {
+			return nil, err
+		}
 	}
+	if err := d.run(0, nil); err != nil {
+		return nil, err
+	}
+	out := &DisaggResult{
+		PrefillPolicy: ppol.Name(),
+		DecodePolicy:  dpol.Name(),
+		PerPrefill:    d.results(rolePrefill),
+		PerDecode:     d.results(roleDecode),
+		Handoffs:      d.kv.n,
+		HandoffBytes:  d.kv.bytes,
+		HandoffMeanNs: d.kv.mean(),
+		HandoffMaxNs:  d.kv.max,
+	}
+	out.Merged = d.merge(append(append([]*Result{}, out.PerPrefill...), out.PerDecode...))
 	return out, nil
+}
+
+// orJSQ returns p, or the token-weighted JSQ default when p is nil.
+func orJSQ(p Policy) Policy {
+	if p == nil {
+		return NewJSQ()
+	}
+	return p
 }

@@ -116,3 +116,64 @@ func TestDriverEquivalenceStream(t *testing.T) {
 		t.Errorf("callback and proc drivers disagree on streamed summaries:\ncallback: %s\nproc: %s", got, want)
 	}
 }
+
+// TestDriverEquivalenceAutoscaled covers the elastic fleet: provisioning,
+// graceful drains with hand-backs re-routed to survivors, and retirement
+// must all land on the same nanosecond under both drivers.
+func TestDriverEquivalenceAutoscaled(t *testing.T) {
+	wl := autoscaleTestWorkload()
+	run := func(d DriverMode) *AutoscaleResult {
+		cfg := autoscaleTestConfig()
+		cfg.Driver = d
+		res, err := RunAutoscaled(AutoscaleConfig{
+			Replica:         cfg,
+			Policy:          NewSLOPID(0, 0, 0),
+			MinReplicas:     1,
+			MaxReplicas:     3,
+			InitialReplicas: 2,
+			Interval:        10 * sim.Second,
+			ProvisionDelay:  20 * sim.Second,
+		}, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cb, proc := run(DriverCallback), run(DriverProc)
+	if len(cb.Drains) == 0 {
+		t.Error("autoscaled run drained no replica; equivalence test lost its teeth")
+	}
+	if got, want := mustJSON(t, cb), mustJSON(t, proc); got != want {
+		t.Errorf("callback and proc drivers disagree on the autoscaled fleet:\ncallback: %.400s\nproc:     %.400s", got, want)
+	}
+}
+
+// TestDriverEquivalenceRatio covers slot conversions of a ratio-scaled
+// disaggregated deployment: a conversion drain, the reboot into the other
+// pool and the KV handoffs around it must match under both drivers.
+func TestDriverEquivalenceRatio(t *testing.T) {
+	wl := Poisson(4001, 400, 12, LogNormalLen(768, 0.6, 2048), LogNormalLen(24, 0.5, 64))
+	run := func(d DriverMode) *RatioScaleResult {
+		cfg := autoscaleTestConfig()
+		cfg.Driver = d
+		res, err := RunAutoscaledDisagg(DisaggScaleConfig{
+			Slots:          4,
+			InitialPrefill: 1,
+			Replica:        cfg,
+			Policy:         NewBacklogRatio(),
+			Interval:       5 * sim.Second,
+			ProvisionDelay: 10 * sim.Second,
+		}, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cb, proc := run(DriverCallback), run(DriverProc)
+	if cb.Conversions == 0 {
+		t.Error("ratio-scaled run converted no slot; equivalence test lost its teeth")
+	}
+	if got, want := mustJSON(t, cb), mustJSON(t, proc); got != want {
+		t.Errorf("callback and proc drivers disagree on the ratio-scaled deployment:\ncallback: %.400s\nproc:     %.400s", got, want)
+	}
+}

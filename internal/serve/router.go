@@ -13,11 +13,7 @@ package serve
 // engine's total (time, FIFO) order — so routed results are bit-stable
 // and golden-gated like every other artifact.
 
-import (
-	"fmt"
-
-	"mscclpp/internal/sim"
-)
+import "fmt"
 
 // RouterConfig parameterizes a routed multi-replica simulation.
 type RouterConfig struct {
@@ -57,77 +53,23 @@ func RunRouted(rc RouterConfig, wl Workload) (*RoutedResult, error) {
 	if pol == nil {
 		pol = NewRoundRobin()
 	}
-	c, admitted, rejected, err := prepare(rc.Replica, wl)
+	d, err := newDeployment(rc.Replica, wl, pol)
 	if err != nil {
 		return nil, err
 	}
-
-	eng := sim.NewEngine()
-	replicas := make([]*Scheduler, rc.Replicas)
-	for i := range replicas {
-		s, err := NewScheduler(eng, fmt.Sprintf("replica-%d", i), rc.Replica)
-		if err != nil {
+	d.name = replicaName
+	for i := 0; i < rc.Replicas; i++ {
+		if err := d.add(i, roleUnified); err != nil {
 			return nil, err
 		}
-		s.res.Workload = wl.Name
-		replicas[i] = s
 	}
-
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() {
-			i := pol.Pick(req, replicas)
-			if i < 0 || i >= len(replicas) {
-				panic(fmt.Sprintf("serve: policy %s picked replica %d of %d", pol.Name(), i, len(replicas)))
-			}
-			replicas[i].Submit(req)
-		})
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-	}
-	// The arrival stream ends at the last arrival; Close is scheduled at
-	// the same instant but after every same-instant Submit (FIFO order),
-	// letting each replica drain and its scheduler process exit.
-	eng.At(last, func() {
-		for _, s := range replicas {
-			s.Close()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(replicas...); err != nil {
+	if err := d.run(0, nil); err != nil {
 		return nil, err
 	}
-
-	out := &RoutedResult{Policy: pol.Name(), PerReplica: make([]*Result, len(replicas))}
-	for i, s := range replicas {
-		out.PerReplica[i] = s.Result()
-	}
-	// Requests no replica could ever admit were filtered by prepare; merge
-	// them in as a synthetic rejected part (rows or streamed counters,
-	// matching the metrics mode) so the cluster view keeps one record per
-	// offered request.
-	parts := append(append([]*Result{}, out.PerReplica...), rejectedPart(c, rejected))
-	out.Merged = MergeResults(parts...)
-	out.Merged.Workload = wl.Name
+	out := &RoutedResult{Policy: pol.Name(), PerReplica: d.results()}
+	out.Merged = d.merge(out.PerReplica)
 	return out, nil
 }
 
-// rejectedPart wraps prepare's up-front rejections as a mergeable Result
-// in the configured metrics mode: exact rows under MetricsExact, streamed
-// per-tier rejection counters under MetricsStream.
-func rejectedPart(c Config, rejected []RequestMetrics) *Result {
-	r := &Result{Rejected: len(rejected)}
-	if c.Metrics == MetricsExact {
-		r.PerRequest = rejected
-		return r
-	}
-	r.Stream = newStreamStats(c.SLO, c.TierSLOs)
-	for _, m := range rejected {
-		r.Stream.addRejected(m.Priority)
-	}
-	return r
-}
+// replicaName names the replica of slot sl in a unified fleet.
+func replicaName(sl *slot) string { return fmt.Sprintf("replica-%d", sl.id) }

@@ -35,8 +35,9 @@ package serve
 // replica engine to an existing sim.Engine, requests are fed in through
 // Submit (an event hook callable at any virtual time), and Close marks the
 // end of the arrival stream so the scheduler process can drain and exit.
-// Run wires a single replica to a fresh engine; internal/serve's router
-// (router.go) runs several side by side behind an arrival-splitting policy.
+// Every driver (Run, RunRouted, RunDisaggregated, RunAutoscaled,
+// RunAutoscaledDisagg) wires its replicas to a fresh engine through the
+// deployment core (deploy.go).
 
 import (
 	"fmt"
@@ -219,19 +220,25 @@ func (c *Config) validate() error {
 		return fmt.Errorf("serve: Metrics = %d", c.Metrics)
 	case c.Driver != DriverCallback && c.Driver != DriverProc:
 		return fmt.Errorf("serve: Driver = %d", c.Driver)
+	case c.Model.KVBytesPerTokenPerGPU < 1:
+		return fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
 	}
 	return nil
 }
 
-// checkRequest rejects a malformed request: non-positive token counts or a
-// negative prefix length. These are caller bugs, not workload conditions,
-// so they stay hard errors.
+// checkRequest rejects a malformed request: non-positive token counts, a
+// negative prefix length or a negative arrival time (the engine would
+// inject it at t=0 and charge queueing delay that never happened). These
+// are caller bugs, not workload conditions, so they stay hard errors.
 func (c *Config) checkRequest(r Request) error {
 	if r.PromptLen < 1 || r.OutputLen < 1 {
 		return fmt.Errorf("serve: request %d has prompt %d / output %d tokens", r.ID, r.PromptLen, r.OutputLen)
 	}
 	if r.PrefixLen < 0 {
 		return fmt.Errorf("serve: request %d has negative prefix length %d", r.ID, r.PrefixLen)
+	}
+	if r.Arrival < 0 {
+		return fmt.Errorf("serve: request %d has negative arrival time %d", r.ID, r.Arrival)
 	}
 	return nil
 }
@@ -259,8 +266,10 @@ func (c *Config) rejectReason(r Request) string {
 	return ""
 }
 
-// prepare is the single driver-side validation point shared by Run,
-// RunRouted and RunDisaggregated: it defaults and validates the config,
+// prepare is the single driver-side validation point, called by the
+// deployment core (deploy.go) for all five drivers — Run, RunRouted,
+// RunDisaggregated, RunAutoscaled and RunAutoscaledDisagg: it defaults
+// and validates the config,
 // hard-errors on malformed requests, and splits out requests the config
 // can never admit as structured Rejected records (with the workload they
 // are filtered from), so one hostile request degrades to a rejection row
@@ -271,9 +280,6 @@ func prepare(cfg Config, wl Workload) (Config, Workload, []RequestMetrics, error
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
 		return c, wl, nil, err
-	}
-	if c.Model.KVBytesPerTokenPerGPU < 1 {
-		return c, wl, nil, fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
 	}
 	var rejected []RequestMetrics
 	admitted := wl.Requests
@@ -387,7 +393,7 @@ type Scheduler struct {
 
 	// onPrefilled fires (in engine context, at the iteration end time) when
 	// a rolePrefill replica finishes a request's prompt processing — the
-	// disaggregation driver prices the KV handoff there and calls release
+	// deployment core prices the KV handoff there and calls release
 	// when the transfer ends, freeing the prompt KV pinned on this replica.
 	// Nil elsewhere.
 	onPrefilled func(pr Prefilled, end sim.Time, release func())
@@ -407,8 +413,8 @@ type Scheduler struct {
 
 	// onRetired fires (in engine context) when the replica finishes
 	// draining — Close or Drain was called and the last resident request,
-	// queued resume and in-flight transfer has completed. The autoscaler
-	// (autoscale.go) stamps replica retirement times there. Nil elsewhere.
+	// queued resume and in-flight transfer has completed. The deployment
+	// core (deploy.go) advances the replica's slot lifecycle there.
 	onRetired func(at sim.Time)
 
 	res      *Result
@@ -457,14 +463,11 @@ func NewScheduler(eng *sim.Engine, name string, cfg Config) (*Scheduler, error) 
 }
 
 // newScheduler is NewScheduler with an explicit lifecycle role; the
-// disaggregation driver (disagg.go) uses it to build the two pools.
+// deployment core (deploy.go) uses it to build every pool.
 func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
 		return nil, err
-	}
-	if c.Model.KVBytesPerTokenPerGPU < 1 {
-		return nil, fmt.Errorf("serve: model %s has KVBytesPerTokenPerGPU = %d", c.Model.Name, c.Model.KVBytesPerTokenPerGPU)
 	}
 	s := &Scheduler{
 		cfg:        c,
@@ -501,15 +504,25 @@ func newScheduler(eng *sim.Engine, name string, cfg Config, ro role) (*Scheduler
 // Submit enqueues req at the current virtual time. It must be called from
 // engine context (an At callback or a running Proc) and before Close.
 // Requests the replica can never admit must be filtered by the caller
-// first — Run, RunRouted and RunDisaggregated pre-validate every request
-// via prepare and record the rejections — otherwise Submit panics rather
-// than let the replica deadlock.
+// first — every driver pre-validates its requests via prepare in the
+// deployment core and records the rejections — otherwise Submit panics
+// rather than let the replica deadlock.
 func (s *Scheduler) Submit(req Request) {
-	if s.closed {
-		panic(fmt.Sprintf("serve: Submit(request %d) after Close", req.ID))
-	}
 	if s.draining {
 		panic(fmt.Sprintf("serve: Submit(request %d) on a draining replica", req.ID))
+	}
+	s.accept("Submit", req)
+	s.inflight += s.load(req)
+	s.waiting = append(s.waiting, &reqState{req: req, seq: s.seq})
+	s.seq++
+	s.notify()
+}
+
+// accept runs the checks Submit and SubmitPrefilled share and stamps the
+// replica's first arrival.
+func (s *Scheduler) accept(op string, req Request) {
+	if s.closed {
+		panic(fmt.Sprintf("serve: %s(request %d) after Close", op, req.ID))
 	}
 	if err := s.cfg.checkRequest(req); err != nil {
 		panic(err.Error())
@@ -521,16 +534,16 @@ func (s *Scheduler) Submit(req Request) {
 		s.firstArr = req.Arrival
 	}
 	s.hasReq = true
+}
+
+// load is a fresh request's outstanding work in tokens. A prefill
+// replica's is prompt processing only; output tokens are the decode
+// pool's load.
+func (s *Scheduler) load(req Request) int64 {
 	if s.role == rolePrefill {
-		// A prefill replica's outstanding work is prompt processing only;
-		// output tokens are the decode pool's load.
-		s.inflight += int64(req.PromptLen)
-	} else {
-		s.inflight += int64(req.PromptLen + req.OutputLen)
+		return int64(req.PromptLen)
 	}
-	s.waiting = append(s.waiting, &reqState{req: req, seq: s.seq})
-	s.seq++
-	s.notify()
+	return int64(req.PromptLen + req.OutputLen)
 }
 
 // Prefilled is a request whose prompt processing finished on a prefill
@@ -565,19 +578,7 @@ func (s *Scheduler) SubmitPrefilled(pr Prefilled) {
 	if s.role != roleDecode {
 		panic(fmt.Sprintf("serve: SubmitPrefilled(request %d) on a non-decode replica", pr.Req.ID))
 	}
-	if s.closed {
-		panic(fmt.Sprintf("serve: SubmitPrefilled(request %d) after Close", pr.Req.ID))
-	}
-	if err := s.cfg.checkRequest(pr.Req); err != nil {
-		panic(err.Error())
-	}
-	if reason := s.cfg.rejectReason(pr.Req); reason != "" {
-		panic(fmt.Sprintf("serve: request %d can never be admitted (%s) — the driver must filter it as a rejection", pr.Req.ID, reason))
-	}
-	if !s.hasReq || pr.Req.Arrival < s.firstArr {
-		s.firstArr = pr.Req.Arrival
-	}
-	s.hasReq = true
+	s.accept("SubmitPrefilled", pr.Req)
 	// Remaining work is decode only: tokens 2..OutputLen.
 	s.inflight += int64(pr.Req.OutputLen - 1)
 	s.waiting = append(s.waiting, &reqState{
@@ -613,7 +614,7 @@ func (s *Scheduler) kvNeed(r Request) int64 {
 }
 
 // releaseKV returns bytes to the KVReserve budget from engine context. The
-// disaggregation driver calls it on a prefill replica when a handoff
+// deployment core calls it on a prefill replica when a handoff
 // completes — the prompt KV must stay resident during the fabric transfer —
 // so admission re-checks the freed budget.
 func (s *Scheduler) releaseKV(bytes int64) {
@@ -768,11 +769,7 @@ func (s *Scheduler) Drain() []Request {
 			continue
 		}
 		handoff = append(handoff, rs.req)
-		if s.role == rolePrefill {
-			s.inflight -= int64(rs.req.PromptLen)
-		} else {
-			s.inflight -= int64(rs.req.PromptLen + rs.req.OutputLen)
-		}
+		s.inflight -= s.load(rs.req)
 	}
 	for i := len(keep); i < len(s.waiting); i++ {
 		s.waiting[i] = nil
@@ -799,7 +796,7 @@ func (s *Scheduler) Draining() bool { return s.draining }
 func (s *Scheduler) InFlightTokens() int64 { return s.inflight + s.pending }
 
 // reservePending adjusts the replica's committed-but-not-yet-delivered
-// load by delta tokens. The disaggregation driver adds a request's decode
+// load by delta tokens. The deployment core adds a request's decode
 // work at placement time — the instant DecodePolicy picks this replica —
 // and subtracts it again when the KV handoff completes and SubmitPrefilled
 // moves the same tokens into the live in-flight count, so InFlightTokens
@@ -1455,65 +1452,20 @@ func (s *Scheduler) swapInStart(rs *reqState, now sim.Time) {
 }
 
 // Run replays the workload against a single replica and returns its
-// per-request metrics. It builds a fresh discrete-event engine, schedules
-// every arrival as an engine event, and runs the scheduler process until
-// the last request completes. Requests the config can never admit are
-// recorded as Rejected rows (appended after the completed requests)
-// instead of failing the run.
+// per-request metrics, rows in completion order. Requests the config can
+// never admit are recorded as Rejected rows (appended after the completed
+// requests) instead of failing the run.
 func Run(cfg Config, wl Workload) (*Result, error) {
-	c, admitted, rejected, err := prepare(cfg, wl)
+	d, err := newDeployment(cfg, wl, NewRoundRobin())
 	if err != nil {
 		return nil, err
 	}
-
-	eng := sim.NewEngine()
-	s, err := NewScheduler(eng, "serve-scheduler", cfg)
-	if err != nil {
+	d.name = func(*slot) string { return "serve-scheduler" }
+	if err := d.add(0, roleUnified); err != nil {
 		return nil, err
 	}
-	s.res.Workload = wl.Name
-	if c.Metrics == MetricsExact {
-		s.res.PerRequest = make([]RequestMetrics, 0, len(admitted.Requests))
-	}
-	var last sim.Time
-	for _, r := range admitted.Requests {
-		req := r
-		eng.At(req.Arrival, func() { s.Submit(req) })
-		if req.Arrival > last {
-			last = req.Arrival
-		}
-	}
-	eng.At(last, s.Close)
-	if err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if err := checkDrained(s); err != nil {
+	if err := d.run(0, nil); err != nil {
 		return nil, err
 	}
-	res := s.Result()
-	res.Rejected += len(rejected)
-	if s.stream != nil {
-		for _, m := range rejected {
-			s.stream.addRejected(m.Priority)
-		}
-	} else {
-		res.PerRequest = append(res.PerRequest, rejected...)
-	}
-	return res, nil
-}
-
-// checkDrained verifies every scheduler exited cleanly once the engine
-// drained. Under DriverProc a stuck replica surfaces as the engine's
-// blocked-Proc DeadlockError; the callback driver has no goroutine to
-// detect, so the drivers assert the terminal state explicitly instead.
-func checkDrained(ss ...*Scheduler) error {
-	for _, s := range ss {
-		if s.cfg.Driver == DriverProc || s.Done() {
-			continue
-		}
-		return fmt.Errorf("serve: engine drained but a scheduler never finished "+
-			"(%d active, %d waiting, %d in transit, closed=%v)",
-			len(s.active), len(s.waiting), s.transit(), s.closed)
-	}
-	return nil
+	return d.sole(), nil
 }

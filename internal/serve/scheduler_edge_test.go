@@ -168,6 +168,16 @@ func TestSchedulerEdgeCases(t *testing.T) {
 			},
 			wantErr: true,
 		},
+		{
+			// A directly built workload bypasses Trace's arrival checks; a
+			// negative arrival would be injected at t=0 and charged queueing
+			// delay that never happened.
+			name: "negative-arrival-rejected",
+			reqs: []Request{
+				{Arrival: -5 * sim.Millisecond, PromptLen: 8, OutputLen: 2},
+			},
+			wantErr: true,
+		},
 	}
 
 	for _, tc := range cases {
