@@ -4,6 +4,13 @@
 // two-sided synchronous send/recv substrate. It captures the paper's gain
 // breakdown: MSCCL beats NCCL through better algorithms, and MSCCL++ beats
 // MSCCL through one-sided, zero-copy, asynchronous primitives.
+//
+// Like ncclsim, it shares the MSCCL++ library's kernel scaffold: every
+// Prepare* checks its buffers with collective's validators
+// (Comm.ValidateAllReduce, Comm.ValidateAllGather), launches through
+// collective.NewExec, the per-rank launch helper, and takes its rank groups
+// (Comm.AllRanks, NodeRanks, ColumnRanks, PeersOf) and thread-block shards
+// (mem.Shard) from the same helpers as the MSCCL++ algorithms.
 package mscclsim
 
 import (
@@ -46,70 +53,9 @@ func (l *Library) pairConns(ranks []int, cfg twosided.Config) map[int]map[int]*t
 	return conns
 }
 
-func peersOf(ranks []int, r int) []int {
-	idx := -1
-	for i, x := range ranks {
-		if x == r {
-			idx = i
-		}
-	}
-	out := make([]int, 0, len(ranks)-1)
-	for s := 1; s < len(ranks); s++ {
-		out = append(out, ranks[(idx+s)%len(ranks)])
-	}
-	return out
-}
-
-func allRanks(n int) []int {
-	rs := make([]int, n)
-	for i := range rs {
-		rs[i] = i
-	}
-	return rs
-}
-
-// shardTB splits size into nTB 4-byte-aligned shards for per-thread-block
-// parallel transfers (MSCCL channels).
-func shardTB(size int64, tb, nTB int) (off, ln int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	start := base*int64(tb) + minI64(int64(tb), rem)
-	cnt := base
-	if int64(tb) < rem {
-		cnt++
-	}
-	off = start * 4
-	ln = cnt * 4
-	if tb == nTB-1 {
-		ln += size % 4
-	}
-	return
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // tbCount picks the per-collective thread-block (channel) parallelism.
 func (l *Library) tbCount(bytesPerLeg int64) int {
-	n := int(bytesPerLeg / (256 << 10))
-	if n < 1 {
-		n = 1
-	}
-	if n > l.Channels {
-		n = l.Channels
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
+	return min(max(int(bytesPerLeg/(256<<10)), 1), l.Channels, 8)
 }
 
 // xferSpec describes one leg of a chunk-interleaved all-pairs exchange.
@@ -126,10 +72,7 @@ type xferSpec struct {
 // All legs cover `length` bytes.
 func runExchange(k *machine.Kernel, length, chunk int64, sends, recvs []xferSpec) {
 	for wo := int64(0); wo < length; wo += chunk {
-		wn := length - wo
-		if wn > chunk {
-			wn = chunk
-		}
+		wn := min(length-wo, chunk)
 		for _, s := range sends {
 			s.conn.Send(k, s.buf, s.off+wo, wn)
 		}
@@ -149,45 +92,42 @@ func runExchange(k *machine.Kernel, length, chunk int64, sends, recvs []xferSpec
 // two-sided primitives with staging copies.
 func (l *Library) PrepareAllReduceAllPairs1P(in, out []*mem.Buffer) (*collective.Exec, error) {
 	c := l.C
+	size, err := c.ValidateAllReduce(in, out)
+	if err != nil {
+		return nil, err
+	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("msccl 1P: single-node only")
 	}
-	n := c.Ranks()
-	size := in[0].Size()
-	ranks := allRanks(n)
+	ranks := c.AllRanks()
 	conns := l.pairConns(ranks, twosided.Config{Proto: twosided.ProtoLL, Chunk: 64 << 10, Slots: 16})
 	name := "msccl-AllPairs1P-LL"
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				k.LocalCopy(size, 1)
-				in[r].CopyTo(out[r], 0, 0, size)
-				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
-					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
-					recvs = append(recvs, xferSpec{conns[p][r], out[r], 0, true})
-				}
-				runExchange(k, size, conns[r][peersOf(ranks, r)[0]].Chunk(), sends, recvs)
-			})
+	return collective.NewExec(c, name, 1, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		k.LocalCopy(size, 1)
+		in[r].CopyTo(out[r], 0, 0, size)
+		var sends, recvs []xferSpec
+		for _, p := range collective.PeersOf(ranks, r) {
+			sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
+			recvs = append(recvs, xferSpec{conns[p][r], out[r], 0, true})
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+		runExchange(k, size, conns[r][collective.PeersOf(ranks, r)[0]].Chunk(), sends, recvs)
+	}), nil
 }
 
 // PrepareAllReduceAllPairs2P is MSCCL's two-phase all-pairs AllReduce
 // (ReduceScatter + AllGather) for medium messages.
 func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
 	c := l.C
+	size, err := c.ValidateAllReduce(in, out)
+	if err != nil {
+		return nil, err
+	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("msccl 2P: single-node only")
 	}
-	n := c.Ranks()
-	size := in[0].Size()
-	slice := size / int64(n)
-	ranks := allRanks(n)
+	slice := size / int64(c.Ranks())
+	ranks := c.AllRanks()
 	chunk := int64(128 << 10)
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
@@ -200,38 +140,31 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 		connsAG[b] = l.pairConns(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
 	}
 	name := "msccl-AllPairs2P-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
-				b := k.Block
-				off, ln := shardTB(slice, b, k.NumBlocks)
-				if ln == 0 {
-					return
-				}
-				mySlice := int64(r)*slice + off
-				k.LocalCopy(ln, 1)
-				in[r].CopyTo(out[r], mySlice, mySlice, ln)
-				// Phase 1: scatter slices; reduce arrivals into my slice.
-				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
-					sends = append(sends, xferSpec{connsRS[b][r][p], in[r], int64(p)*slice + off, false})
-					recvs = append(recvs, xferSpec{connsRS[b][p][r], out[r], mySlice, true})
-				}
-				runExchange(k, ln, chunk, sends, recvs)
-				// Phase 2: broadcast my reduced slice; copy arrivals.
-				sends, recvs = nil, nil
-				for _, p := range peersOf(ranks, r) {
-					sends = append(sends, xferSpec{connsAG[b][r][p], out[r], mySlice, false})
-					recvs = append(recvs, xferSpec{connsAG[b][p][r], out[r], int64(p)*slice + off, false})
-				}
-				runExchange(k, ln, chunk, sends, recvs)
-			})
+	return collective.NewExec(c, name, nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		b := k.Block
+		off, ln := mem.Shard(slice, b, k.NumBlocks)
+		if ln == 0 {
+			return
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+		mySlice := int64(r)*slice + off
+		k.LocalCopy(ln, 1)
+		in[r].CopyTo(out[r], mySlice, mySlice, ln)
+		// Phase 1: scatter slices; reduce arrivals into my slice.
+		var sends, recvs []xferSpec
+		for _, p := range collective.PeersOf(ranks, r) {
+			sends = append(sends, xferSpec{connsRS[b][r][p], in[r], int64(p)*slice + off, false})
+			recvs = append(recvs, xferSpec{connsRS[b][p][r], out[r], mySlice, true})
+		}
+		runExchange(k, ln, chunk, sends, recvs)
+		// Phase 2: broadcast my reduced slice; copy arrivals.
+		sends, recvs = nil, nil
+		for _, p := range collective.PeersOf(ranks, r) {
+			sends = append(sends, xferSpec{connsAG[b][r][p], out[r], mySlice, false})
+			recvs = append(recvs, xferSpec{connsAG[b][p][r], out[r], int64(p)*slice + off, false})
+		}
+		runExchange(k, ln, chunk, sends, recvs)
+	}), nil
 }
 
 // PrepareAllReduceHier is MSCCL's hierarchical (2PH-style) AllReduce for
@@ -239,13 +172,15 @@ func (l *Library) PrepareAllReduceAllPairs2P(in, out []*mem.Buffer, proto twosid
 // all-pairs exchange among same-local ranks, intra-node AllGather.
 func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
 	c := l.C
+	size, err := c.ValidateAllReduce(in, out)
+	if err != nil {
+		return nil, err
+	}
 	env := c.M.Env
 	if env.Nodes < 2 {
 		return nil, fmt.Errorf("msccl hier: multi-node only")
 	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
-	size := in[0].Size()
 	sg := size / int64(g)
 	sgm := sg / int64(nodes)
 	if sgm == 0 || sgm%4 != 0 {
@@ -265,128 +200,100 @@ func (l *Library) PrepareAllReduceHier(in, out []*mem.Buffer, proto twosided.Pro
 		intra[b] = make([]map[int]map[int]*twosided.Conn, nodes)
 		intraAG[b] = make([]map[int]map[int]*twosided.Conn, nodes)
 		for node := 0; node < nodes; node++ {
-			rs := nodeRanks(node, g)
+			rs := c.NodeRanks(node)
 			intra[b][node] = l.pairConns(rs, cfg)
 			intraAG[b][node] = l.pairConns(rs, cfg)
 		}
 		colRS[b] = make([]map[int]map[int]*twosided.Conn, g)
 		colAG[b] = make([]map[int]map[int]*twosided.Conn, g)
 		for lidx := 0; lidx < g; lidx++ {
-			rs := colRanks(lidx, g, nodes)
+			rs := c.ColumnRanks(lidx)
 			colRS[b][lidx] = l.pairConns(rs, cfg)
 			colAG[b][lidx] = l.pairConns(rs, cfg)
 		}
 	}
 	name := "msccl-Hier-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			node, lidx := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(name, nTB, func(k *machine.Kernel) {
-				b := k.Block
-				sOff, sLen := shardTB(sg, b, k.NumBlocks)
-				if sLen == 0 {
-					return
-				}
-				// Per-TB sub-slice shards (aligned so cross-node sub-slice
-				// shards stay within the TB's region).
-				mOff, mLen := shardTB(sgm, b, k.NumBlocks)
-				sliceOff := int64(lidx)*sg + sOff
-				localPeers := peersOf(nodeRanks(node, g), r)
-				crossPeers := peersOf(colRanks(lidx, g, nodes), r)
-				k.LocalCopy(sLen, 1)
-				in[r].CopyTo(out[r], sliceOff, sliceOff, sLen)
-				// Intra-node ReduceScatter of slice lidx.
-				var sends, recvs []xferSpec
-				for _, p := range localPeers {
-					sends = append(sends, xferSpec{intra[b][node][r][p], in[r], int64(p%g)*sg + sOff, false})
-					recvs = append(recvs, xferSpec{intra[b][node][p][r], out[r], sliceOff, true})
-				}
-				runExchange(k, sLen, chunk, sends, recvs)
-				// TB shards of the slice and of the sub-slice differ, so
-				// phases must synchronize across thread blocks.
-				k.GridBarrier()
-				// Cross-node exchange of sub-slices, all-pairs.
-				myOff := int64(lidx)*sg + int64(node)*sgm + mOff
-				sends, recvs = nil, nil
-				for _, p := range crossPeers {
-					sends = append(sends, xferSpec{colRS[b][lidx][r][p], out[r],
-						int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-					recvs = append(recvs, xferSpec{colRS[b][lidx][p][r], out[r], myOff, true})
-				}
-				runExchange(k, mLen, chunk, sends, recvs)
-				k.GridBarrier()
-				// Cross-node AllGather of finished sub-slices.
-				sends, recvs = nil, nil
-				for _, p := range crossPeers {
-					sends = append(sends, xferSpec{colAG[b][lidx][r][p], out[r], myOff, false})
-					recvs = append(recvs, xferSpec{colAG[b][lidx][p][r], out[r],
-						int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
-				}
-				runExchange(k, mLen, chunk, sends, recvs)
-				k.GridBarrier()
-				// Intra-node AllGather of slice lidx.
-				sends, recvs = nil, nil
-				for _, p := range localPeers {
-					sends = append(sends, xferSpec{intraAG[b][node][r][p], out[r], sliceOff, false})
-					recvs = append(recvs, xferSpec{intraAG[b][node][p][r], out[r], int64(p%g)*sg + sOff, false})
-				}
-				runExchange(k, sLen, chunk, sends, recvs)
-			})
+	return collective.NewExec(c, name, nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		node, lidx := r/g, r%g
+		b := k.Block
+		sOff, sLen := mem.Shard(sg, b, k.NumBlocks)
+		if sLen == 0 {
+			return
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+		// Per-TB sub-slice shards (aligned so cross-node sub-slice
+		// shards stay within the TB's region).
+		mOff, mLen := mem.Shard(sgm, b, k.NumBlocks)
+		sliceOff := int64(lidx)*sg + sOff
+		localPeers := collective.PeersOf(c.NodeRanks(node), r)
+		crossPeers := collective.PeersOf(c.ColumnRanks(lidx), r)
+		k.LocalCopy(sLen, 1)
+		in[r].CopyTo(out[r], sliceOff, sliceOff, sLen)
+		// Intra-node ReduceScatter of slice lidx.
+		var sends, recvs []xferSpec
+		for _, p := range localPeers {
+			sends = append(sends, xferSpec{intra[b][node][r][p], in[r], int64(p%g)*sg + sOff, false})
+			recvs = append(recvs, xferSpec{intra[b][node][p][r], out[r], sliceOff, true})
+		}
+		runExchange(k, sLen, chunk, sends, recvs)
+		// TB shards of the slice and of the sub-slice differ, so
+		// phases must synchronize across thread blocks.
+		k.GridBarrier()
+		// Cross-node exchange of sub-slices, all-pairs.
+		myOff := int64(lidx)*sg + int64(node)*sgm + mOff
+		sends, recvs = nil, nil
+		for _, p := range crossPeers {
+			sends = append(sends, xferSpec{colRS[b][lidx][r][p], out[r],
+				int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
+			recvs = append(recvs, xferSpec{colRS[b][lidx][p][r], out[r], myOff, true})
+		}
+		runExchange(k, mLen, chunk, sends, recvs)
+		k.GridBarrier()
+		// Cross-node AllGather of finished sub-slices.
+		sends, recvs = nil, nil
+		for _, p := range crossPeers {
+			sends = append(sends, xferSpec{colAG[b][lidx][r][p], out[r], myOff, false})
+			recvs = append(recvs, xferSpec{colAG[b][lidx][p][r], out[r],
+				int64(lidx)*sg + int64(p/g)*sgm + mOff, false})
+		}
+		runExchange(k, mLen, chunk, sends, recvs)
+		k.GridBarrier()
+		// Intra-node AllGather of slice lidx.
+		sends, recvs = nil, nil
+		for _, p := range localPeers {
+			sends = append(sends, xferSpec{intraAG[b][node][r][p], out[r], sliceOff, false})
+			recvs = append(recvs, xferSpec{intraAG[b][node][p][r], out[r], int64(p%g)*sg + sOff, false})
+		}
+		runExchange(k, sLen, chunk, sends, recvs)
+	}), nil
 }
 
 // PrepareAllGatherAllPairs is MSCCL's all-pairs AllGather.
 func (l *Library) PrepareAllGatherAllPairs(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
 	c := l.C
+	shard, err := c.ValidateAllGather(in, out)
+	if err != nil {
+		return nil, err
+	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("msccl AG: single-node only")
 	}
-	n := c.Ranks()
-	shard := in[0].Size()
-	ranks := allRanks(n)
+	ranks := c.AllRanks()
 	chunk := int64(128 << 10)
 	if proto == twosided.ProtoLL {
 		chunk = 32 << 10
 	}
 	conns := l.pairConns(ranks, twosided.Config{Proto: proto, Chunk: chunk, Slots: 16})
 	name := "msccl-AG-AllPairs-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				k.LocalCopy(shard, 1)
-				in[r].CopyTo(out[r], int64(r)*shard, 0, shard)
-				var sends, recvs []xferSpec
-				for _, p := range peersOf(ranks, r) {
-					sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
-					recvs = append(recvs, xferSpec{conns[p][r], out[r], int64(p) * shard, false})
-				}
-				runExchange(k, shard, chunk, sends, recvs)
-			})
+	return collective.NewExec(c, name, 1, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		k.LocalCopy(shard, 1)
+		in[r].CopyTo(out[r], int64(r)*shard, 0, shard)
+		var sends, recvs []xferSpec
+		for _, p := range collective.PeersOf(ranks, r) {
+			sends = append(sends, xferSpec{conns[r][p], in[r], 0, false})
+			recvs = append(recvs, xferSpec{conns[p][r], out[r], int64(p) * shard, false})
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
-}
-
-func nodeRanks(node, g int) []int {
-	rs := make([]int, g)
-	for i := range rs {
-		rs[i] = node*g + i
-	}
-	return rs
-}
-
-func colRanks(l, g, nodes int) []int {
-	rs := make([]int, nodes)
-	for n := range rs {
-		rs[n] = n*g + l
-	}
-	return rs
+		runExchange(k, shard, chunk, sends, recvs)
+	}), nil
 }

@@ -8,11 +8,15 @@
 // The library deliberately reproduces the baseline's structural costs — the
 // extra FIFO copy per hop, per-chunk rendezvous, one hardcoded transfer mode
 // per link — rather than being slowed down artificially.
+//
+// Like mscclsim, it shares the MSCCL++ library's kernel scaffold: every
+// Prepare* checks its buffers with collective's validators
+// (Comm.ValidateAllReduce, Comm.ValidateAllGather) and launches through
+// collective.NewExec, the per-rank launch helper, so all three libraries
+// are timed and validated alike.
 package ncclsim
 
 import (
-	"fmt"
-
 	"mscclpp/internal/baseline/twosided"
 	"mscclpp/internal/collective"
 	"mscclpp/internal/machine"
@@ -90,131 +94,86 @@ func (l *Library) ringPrev(r, b int) int {
 	panic("ncclsim: broken ring")
 }
 
-func shardRange(size int64, i, n int) (off, ln int64) {
-	el := size / 4
-	base := el / int64(n)
-	rem := el % int64(n)
-	start := base*int64(i) + minI64(int64(i), rem)
-	cnt := base
-	if int64(i) < rem {
-		cnt++
-	}
-	off = start * 4
-	ln = cnt * 4
-	if i == n-1 {
-		ln += size % 4
-	}
-	return
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // window returns the i-th chunk-sized window of a region of length n.
 func window(n, chunk int64, i int64) (off, ln int64) {
 	off = i * chunk
 	if off >= n {
 		return n, 0
 	}
-	ln = n - off
-	if ln > chunk {
-		ln = chunk
-	}
-	return
+	return off, min(n-off, chunk)
 }
 
 // PrepareAllReduceRing builds the classic ring AllReduce: a ReduceScatter
 // pass followed by an AllGather pass, 2(N-1) synchronous hops per element,
 // chunk-interleaved so neighbouring transfers pipeline.
 func (l *Library) PrepareAllReduceRing(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
-	n := l.C.Ranks()
-	if len(in) != n || len(out) != n {
-		return nil, fmt.Errorf("ncclsim: need %d buffers", n)
+	size, err := l.C.ValidateAllReduce(in, out)
+	if err != nil {
+		return nil, err
 	}
-	size := in[0].Size()
+	n := l.C.Ranks()
 	chunk := l.Chunk
 	if proto == twosided.ProtoLL {
 		chunk = 16 << 10
 	}
 	nch := l.Channels
 	if size/int64(nch) < 4096 {
-		nch = int(size/4096) + 1
-		if nch > l.Channels {
-			nch = l.Channels
-		}
+		nch = min(int(size/4096)+1, l.Channels)
 	}
 	edges := l.ringEdges(proto, chunk)
 	name := "nccl-Ring-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = l.C.M.GPUs[r].Launch(name, nch, func(k *machine.Kernel) {
-				b := k.Block
-				send := edges[b][r]
-				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := shardRange(size, b, nch)
-				if pSize == 0 {
-					return
-				}
-				// Working copy of this channel's part.
-				k.LocalCopy(pSize, 1)
-				in[r].CopyTo(out[r], pOff, pOff, pSize)
-				// Ring indices follow ring positions, not rank numbers, so
-				// stride rings stay correct.
-				pos := ringPos(l, r, b)
-				slice := func(i int) (int64, int64) {
-					o, ln := shardRange(pSize, i, n)
-					return pOff + o, ln
-				}
-				// ReduceScatter pass.
-				for s := 0; s < n-1; s++ {
-					csOff, csN := slice((pos + n - s) % n)
-					crOff, crN := slice((pos + n - s - 1) % n)
-					nw := (maxI64(csN, crN) + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						so, sn := window(csN, chunk, i)
-						ro, rn := window(crN, chunk, i)
-						if sn > 0 {
-							send.Send(k, out[r], csOff+so, sn)
-						}
-						if rn > 0 {
-							recv.RecvReduce(k, out[r], crOff+ro, rn)
-						}
-					}
-				}
-				// AllGather pass: forward the owned slice around the ring.
-				for s := 0; s < n-1; s++ {
-					csOff, csN := slice((pos + 1 + n - s) % n)
-					crOff, crN := slice((pos + n - s) % n)
-					nw := (maxI64(csN, crN) + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						so, sn := window(csN, chunk, i)
-						ro, rn := window(crN, chunk, i)
-						if sn > 0 {
-							send.Send(k, out[r], csOff+so, sn)
-						}
-						if rn > 0 {
-							recv.RecvCopy(k, out[r], crOff+ro, rn)
-						}
-					}
-				}
-			})
+	return collective.NewExec(l.C, name, nch, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		b := k.Block
+		send := edges[b][r]
+		recv := edges[b][l.ringPrev(r, b)]
+		pOff, pSize := mem.Shard(size, b, nch)
+		if pSize == 0 {
+			return
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+		// Working copy of this channel's part.
+		k.LocalCopy(pSize, 1)
+		in[r].CopyTo(out[r], pOff, pOff, pSize)
+		// Ring indices follow ring positions, not rank numbers, so
+		// stride rings stay correct.
+		pos := ringPos(l, r, b)
+		slice := func(i int) (int64, int64) {
+			o, ln := mem.Shard(pSize, i, n)
+			return pOff + o, ln
+		}
+		// ReduceScatter pass.
+		for s := 0; s < n-1; s++ {
+			csOff, csN := slice((pos + n - s) % n)
+			crOff, crN := slice((pos + n - s - 1) % n)
+			nw := (max(csN, crN) + chunk - 1) / chunk
+			for i := int64(0); i < nw; i++ {
+				so, sn := window(csN, chunk, i)
+				ro, rn := window(crN, chunk, i)
+				if sn > 0 {
+					send.Send(k, out[r], csOff+so, sn)
+				}
+				if rn > 0 {
+					recv.RecvReduce(k, out[r], crOff+ro, rn)
+				}
+			}
+		}
+		// AllGather pass: forward the owned slice around the ring.
+		for s := 0; s < n-1; s++ {
+			csOff, csN := slice((pos + 1 + n - s) % n)
+			crOff, crN := slice((pos + n - s) % n)
+			nw := (max(csN, crN) + chunk - 1) / chunk
+			for i := int64(0); i < nw; i++ {
+				so, sn := window(csN, chunk, i)
+				ro, rn := window(crN, chunk, i)
+				if sn > 0 {
+					send.Send(k, out[r], csOff+so, sn)
+				}
+				if rn > 0 {
+					recv.RecvCopy(k, out[r], crOff+ro, rn)
+				}
+			}
+		}
+	}), nil
 }
 
 // ringPos returns r's position along channel b's ring starting from rank 0.
@@ -237,10 +196,13 @@ func ringPos(l *Library, r, b int) int {
 // levels.
 func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
 	c := l.C
+	size, err := c.ValidateAllReduce(in, out)
+	if err != nil {
+		return nil, err
+	}
 	n := c.Ranks()
 	env := c.M.Env
 	g, nodes := env.GPUsPerNode, env.Nodes
-	size := in[0].Size()
 	chunk := l.Chunk
 	if proto == twosided.ProtoLL {
 		chunk = 16 << 10
@@ -267,95 +229,81 @@ func (l *Library) PrepareAllReduceTree(in, out []*mem.Buffer, proto twosided.Pro
 		}
 	}
 	name := "nccl-Tree-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(name, 1, func(k *machine.Kernel) {
-				node, local := r/g, r%g
-				k.LocalCopy(size, 1)
-				in[r].CopyTo(out[r], 0, 0, size)
-				// --- Reduce towards (0,0) ---
-				if local < g-1 {
-					up[r+1].RecvReduceBuffer(k, out[r], 0, size)
-				}
-				if local == 0 && node < nodes-1 {
-					up[(node+1)*g].RecvReduceBuffer(k, out[r], 0, size)
-				}
-				if up[r] != nil {
-					up[r].SendBuffer(k, out[r], 0, size)
-				}
-				// --- Broadcast back ---
-				if down[r] != nil {
-					down[r].RecvCopyBuffer(k, out[r], 0, size)
-				}
-				if local == 0 && node < nodes-1 {
-					down[(node+1)*g].SendBuffer(k, out[r], 0, size)
-				}
-				if local < g-1 {
-					down[r+1].SendBuffer(k, out[r], 0, size)
-				}
-			})
+	return collective.NewExec(c, name, 1, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		node, local := r/g, r%g
+		k.LocalCopy(size, 1)
+		in[r].CopyTo(out[r], 0, 0, size)
+		// --- Reduce towards (0,0) ---
+		if local < g-1 {
+			up[r+1].RecvReduceBuffer(k, out[r], 0, size)
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+		if local == 0 && node < nodes-1 {
+			up[(node+1)*g].RecvReduceBuffer(k, out[r], 0, size)
+		}
+		if up[r] != nil {
+			up[r].SendBuffer(k, out[r], 0, size)
+		}
+		// --- Broadcast back ---
+		if down[r] != nil {
+			down[r].RecvCopyBuffer(k, out[r], 0, size)
+		}
+		if local == 0 && node < nodes-1 {
+			down[(node+1)*g].SendBuffer(k, out[r], 0, size)
+		}
+		if local < g-1 {
+			down[r+1].SendBuffer(k, out[r], 0, size)
+		}
+	}), nil
 }
 
 // PrepareAllGatherRing builds the ring AllGather (NCCL's only AllGather
 // algorithm): N-1 forwarding hops through staging buffers.
 func (l *Library) PrepareAllGatherRing(in, out []*mem.Buffer, proto twosided.Proto) (*collective.Exec, error) {
+	shard, err := l.C.ValidateAllGather(in, out)
+	if err != nil {
+		return nil, err
+	}
 	n := l.C.Ranks()
-	shard := in[0].Size()
 	chunk := l.Chunk
 	if proto == twosided.ProtoLL {
 		chunk = 16 << 10
 	}
 	nch := l.Channels
 	if shard/int64(nch) < 4096 {
-		nch = int(shard/4096) + 1
-		if nch > l.Channels {
-			nch = l.Channels
-		}
+		nch = min(int(shard/4096)+1, l.Channels)
 	}
 	edges := l.ringEdges(proto, chunk)
 	name := "nccl-AG-Ring-" + proto.String()
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = l.C.M.GPUs[r].Launch(name, nch, func(k *machine.Kernel) {
-				b := k.Block
-				send := edges[b][r]
-				recv := edges[b][l.ringPrev(r, b)]
-				pOff, pSize := shardRange(shard, b, nch)
-				if pSize == 0 {
-					return
-				}
-				k.LocalCopy(pSize, 1)
-				in[r].CopyTo(out[r], int64(r)*shard+pOff, pOff, pSize)
-				// Forward shards around the ring by ring position.
-				prevRank := func(x, steps int) int {
-					for ; steps > 0; steps-- {
-						x = l.ringPrev(x, b)
-					}
-					return x
-				}
-				for s := 0; s < n-1; s++ {
-					sRank := prevRank(r, s)   // shard to send this step
-					rRank := prevRank(r, s+1) // shard arriving this step
-					sOff := int64(sRank)*shard + pOff
-					rOff := int64(rRank)*shard + pOff
-					nw := (pSize + chunk - 1) / chunk
-					for i := int64(0); i < nw; i++ {
-						wo, wn := window(pSize, chunk, i)
-						send.Send(k, out[r], sOff+wo, wn)
-						recv.RecvCopy(k, out[r], rOff+wo, wn)
-					}
-				}
-			})
+	return collective.NewExec(l.C, name, nch, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		b := k.Block
+		send := edges[b][r]
+		recv := edges[b][l.ringPrev(r, b)]
+		pOff, pSize := mem.Shard(shard, b, nch)
+		if pSize == 0 {
+			return
 		}
-		return handles
-	}
-	return collective.NewExec(name, launch), nil
+		k.LocalCopy(pSize, 1)
+		in[r].CopyTo(out[r], int64(r)*shard+pOff, pOff, pSize)
+		// Forward shards around the ring by ring position.
+		prevRank := func(x, steps int) int {
+			for ; steps > 0; steps-- {
+				x = l.ringPrev(x, b)
+			}
+			return x
+		}
+		for s := 0; s < n-1; s++ {
+			sRank := prevRank(r, s)   // shard to send this step
+			rRank := prevRank(r, s+1) // shard arriving this step
+			sOff := int64(sRank)*shard + pOff
+			rOff := int64(rRank)*shard + pOff
+			nw := (pSize + chunk - 1) / chunk
+			for i := int64(0); i < nw; i++ {
+				wo, wn := window(pSize, chunk, i)
+				send.Send(k, out[r], sOff+wo, wn)
+				recv.RecvCopy(k, out[r], rOff+wo, wn)
+			}
+		}
+	}), nil
 }

@@ -29,6 +29,8 @@ const (
 	ProtoLL
 )
 
+// String returns the protocol name used in kernel names ("LL" or
+// "Simple").
 func (p Proto) String() string {
 	if p == ProtoLL {
 		return "LL"

@@ -150,17 +150,17 @@ func MSCCLAllReduce(env *topology.Env, size int64) (sim.Duration, string, error)
 
 // MSCCLPPAllGather measures the best MSCCL++ AllGather for a gathered size.
 func MSCCLPPAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	return collective.TimeBest(env, shard(env, total), total, mscclppAllGatherCands(env, total))
+	return collective.TimeBest(env, shardBytes(env, total), total, mscclppAllGatherCands(env, total))
 }
 
 // NCCLAllGather measures NCCL-sim's ring AllGather.
 func NCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	return collective.TimeBest(env, shard(env, total), total, ncclAllGatherCands(env, total))
+	return collective.TimeBest(env, shardBytes(env, total), total, ncclAllGatherCands(env, total))
 }
 
 // MSCCLAllGather measures MSCCL-sim's all-pairs AllGather (plus ring).
 func MSCCLAllGather(env *topology.Env, total int64) (sim.Duration, string, error) {
-	return collective.TimeBest(env, shard(env, total), total, mscclAllGatherCands(env, total))
+	return collective.TimeBest(env, shardBytes(env, total), total, mscclAllGatherCands(env, total))
 }
 
 // VLLMCustomAllReduce measures the vLLM-style custom kernel.
@@ -168,8 +168,8 @@ func VLLMCustomAllReduce(env *topology.Env, size int64) (sim.Duration, string, e
 	return collective.TimeBest(env, size, size, vllmAllReduceCands(env, size))
 }
 
-// shard is the per-rank input size of an AllGather of total gathered bytes.
-func shard(env *topology.Env, total int64) int64 { return total / int64(env.TotalGPUs()) }
+// shardBytes is the per-rank input size of an AllGather of total gathered bytes.
+func shardBytes(env *topology.Env, total int64) int64 { return total / int64(env.TotalGPUs()) }
 
 // llSizeCap bounds the sizes at which LL-protocol and one-phase candidates
 // are tried: they are never competitive above a few MB (the paper's tuned

@@ -91,7 +91,7 @@ func TestRunTwiceSameDuration(t *testing.T) {
 			for _, lib := range libs {
 				inSize := size
 				if lib.allGather {
-					inSize = shard(env, size)
+					inSize = shardBytes(env, size)
 				}
 				for i, prep := range lib.cands(env, size) {
 					c, in, out := collective.NewTimingComm(env, inSize, size)

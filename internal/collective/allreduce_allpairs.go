@@ -22,54 +22,35 @@ func (a *AllReduce1PA) Name() string { return "mscclpp-1PA-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
+	ranks := c.AllRanks()
 	// Per-rank packet scratch: one slot of `size` bytes per source rank.
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "1pa.scratch", size*int64(n))
-	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
+	scratch := c.alloc("1pa.scratch", size*int64(len(ranks)))
+	m := newMesh(c, ranks, in, scratch)
 	nTB := a.TB
 	if nTB == 0 {
-		nTB = int(size/(8<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
-		}
+		nTB = min(int(size/(8<<10))+1, 4)
 	}
-	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
-		iter++
-		flag := iter
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				// Broadcast local data to every peer's scratch slot r.
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, flag)
-				}
-				// out = own input.
-				localCopy(k, out[r], 0, in[r], 0, size)
-				// Consume peers' packets and reduce.
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).AwaitPackets(k, flag, uint64(size))
-					localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
-				}
-			})
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		// Broadcast local data to every peer's scratch slot r.
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).PutPackets(k, int64(r)*size, 0, size, k.Block, k.NumBlocks, k.Inv)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		// out = own input.
+		localCopy(k, out[r], 0, in[r], 0, size)
+		// Consume peers' packets and reduce.
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).AwaitPackets(k, k.Inv, uint64(size))
+			localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
+		}
+	}), nil
 }
 
 // AllReduce1PAHB is the one-phase all-pairs AllReduce with HB-protocol
@@ -78,145 +59,89 @@ func (a *AllReduce1PA) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 // (registered peer buffers, one bulk exchange, flag barrier), used in the
 // paper's §7.3 custom-kernel comparison: it pays a fence + semaphore
 // round-trip that the LL variant avoids.
-type AllReduce1PAHB struct {
-	TB int
-}
+type AllReduce1PAHB struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce1PAHB) Name() string { return "custom-1PA-HB (vLLM-like)" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce1PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "1pahb.scratch", size*int64(n))
-	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size/(8<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
+	ranks := c.AllRanks()
+	scratch := c.alloc("1pahb.scratch", size*int64(len(ranks)))
+	m := newMesh(c, ranks, in, scratch)
+	nTB := min(int(size/(8<<10))+1, 4)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
 		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).Put(k, int64(r)*size, 0, size, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range peersOf(ranks, r) {
-						m.at(r, p).Signal(k)
-					}
-					for _, p := range peersOf(ranks, r) {
-						m.at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-				localCopy(k, out[r], 0, in[r], 0, size)
-				for _, p := range peersOf(ranks, r) {
-					localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
-				}
-			})
+		m.gridSync(k, ranks)
+		localCopy(k, out[r], 0, in[r], 0, size)
+		for _, p := range PeersOf(ranks, r) {
+			localReduce(k, out[r], 0, scratch[r], int64(p)*size, size)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	}), nil
 }
 
 // AllReduce2PALL is the two-phase all-pairs AllReduce with the LL protocol
 // (paper §6.2): phase one ReduceScatters (each rank collects and reduces its
 // 1/N slice), phase two AllGathers the reduced slices, both in the all-pairs
 // pattern with packet flags instead of semaphores.
-type AllReduce2PALL struct {
-	TB int
-}
+type AllReduce2PALL struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PALL) Name() string { return "mscclpp-2PA-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	slice := size / int64(n)
+	ranks := c.AllRanks()
+	slice := size / int64(len(ranks))
 	// Phase-1 scratch: slot per source rank holding my slice's partial.
 	// Phase-2 scratch: slot per source rank holding its reduced slice.
-	scr1 := make([]*mem.Buffer, n)
-	scr2 := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scr1[r] = c.M.Alloc(r, "2pall.scr1", slice*int64(n))
-		scr2[r] = c.M.Alloc(r, "2pall.scr2", slice*int64(n))
-	}
-	m1 := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scr1[r] })
-	m2 := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return out[r] },
-		func(r int) *mem.Buffer { return scr2[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size/(64<<10)) + 1
-		if nTB > 8 {
-			nTB = 8
+	scr1 := c.alloc("2pall.scr1", size)
+	scr2 := c.alloc("2pall.scr2", size)
+	m1 := newMesh(c, ranks, in, scr1)
+	m2 := newMesh(c, ranks, out, scr2)
+	nTB := min(int(size/(64<<10))+1, 8)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		flag1, flag2 := 2*k.Inv, 2*k.Inv+1
+		mySlice := int64(r) * slice
+		// Phase 1: scatter slice p of my input to p's scratch.
+		for _, p := range PeersOf(ranks, r) {
+			m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
+				in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
 		}
-	}
-	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
-		iter++
-		flag1, flag2 := 2*iter, 2*iter+1
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				mySlice := int64(r) * slice
-				// Phase 1: scatter slice p of my input to p's scratch.
-				for _, p := range peersOf(ranks, r) {
-					m1.at(r, p).PutPacketsBuf(k, scr1[p], int64(r)*slice,
-						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag1)
-				}
-				// Seed my slice with my own contribution.
-				localCopy(k, out[r], mySlice, in[r], mySlice, slice)
-				for _, p := range peersOf(ranks, r) {
-					m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
-					localReduce(k, out[r], mySlice, scr1[r], int64(p)*slice, slice)
-				}
-				// Phase 2: broadcast my reduced slice to all peers' scratch.
-				for _, p := range peersOf(ranks, r) {
-					m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
-						out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
-				}
-				for _, p := range peersOf(ranks, r) {
-					m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
-					localCopy(k, out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice)
-				}
-			})
+		// Seed my slice with my own contribution.
+		localCopy(k, out[r], mySlice, in[r], mySlice, slice)
+		for _, p := range PeersOf(ranks, r) {
+			m1.at(r, p).AwaitPackets(k, flag1, uint64(slice))
+			localReduce(k, out[r], mySlice, scr1[r], int64(p)*slice, slice)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		// Phase 2: broadcast my reduced slice to all peers' scratch.
+		for _, p := range PeersOf(ranks, r) {
+			m2.at(r, p).PutPacketsBuf(k, scr2[p], int64(r)*slice,
+				out[r], mySlice, slice, k.Block, k.NumBlocks, flag2)
+		}
+		for _, p := range PeersOf(ranks, r) {
+			m2.at(r, p).AwaitPackets(k, flag2, uint64(slice))
+			localCopy(k, out[r], int64(p)*slice, scr2[r], int64(p)*slice, slice)
+		}
+	}), nil
 }
 
 // AllReduce2PAHB is the two-phase all-pairs AllReduce with the HB protocol:
@@ -225,6 +150,7 @@ func (a *AllReduce2PALL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 // optimization existing libraries cannot express); phase two pushes the
 // reduced slice into every peer's output with put+signal.
 type AllReduce2PAHB struct {
+	// TB overrides the thread-block count (0 = auto).
 	TB int
 }
 
@@ -233,61 +159,36 @@ func (a *AllReduce2PAHB) Name() string { return "mscclpp-2PA-HB" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PAHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	slice := size / int64(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return in[r] })
+	ranks := c.AllRanks()
+	slice := size / int64(len(ranks))
+	m := newMesh(c, ranks, in, in)
 	nTB := a.TB
 	if nTB == 0 {
-		nTB = int(size / (512 << 10))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 24 {
-			nTB = 24
-		}
+		nTB = min(max(int(size/(512<<10)), 4), 24)
 	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				mySlice := int64(r) * slice
-				// Phase 1: pull-reduce my slice from all peers (inputs are
-				// immutable during the collective, so no sync is needed).
-				localCopy(k, out[r], mySlice, in[r], mySlice, slice)
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
-						slice, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				// Phase 2: push my reduced slice into every peer's output.
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
-						slice, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range peersOf(ranks, r) {
-						m.at(r, p).Signal(k)
-					}
-					for _, p := range peersOf(ranks, r) {
-						m.at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-			})
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		mySlice := int64(r) * slice
+		// Phase 1: pull-reduce my slice from all peers (inputs are
+		// immutable during the collective, so no sync is needed).
+		localCopy(k, out[r], mySlice, in[r], mySlice, slice)
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).ReduceBuf(k, out[r], mySlice, in[p], mySlice,
+				slice, k.Block, k.NumBlocks)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		k.GridBarrier()
+		// Phase 2: push my reduced slice into every peer's output.
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).PutBuf(k, out[p], mySlice, out[r], mySlice,
+				slice, k.Block, k.NumBlocks)
+		}
+		m.gridSync(k, ranks)
+	}), nil
 }

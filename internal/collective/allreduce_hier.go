@@ -14,16 +14,14 @@ import (
 // synchronization steps), and a node-local LL AllGather. The local collective
 // is pipelined with cross-node communication by issuing the asynchronous
 // port puts as soon as each slice is ready.
-type AllReduce2PHLL struct {
-	TB int
-}
+type AllReduce2PHLL struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PHLL) Name() string { return "mscclpp-2PH-LL" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +30,6 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		return nil, fmt.Errorf("%s: multi-node only", a.Name())
 	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
 	sg := size / int64(g) // per-local-rank slice
 	if sg%4 != 0 {
 		return nil, fmt.Errorf("%s: slice %d not aligned", a.Name(), sg)
@@ -40,96 +37,71 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 
 	// Scratch: phase A packets (slot per local sender), phase B cross-node
 	// partials (slot per node), phase C packets (slot per local sender).
-	scrA := make([]*mem.Buffer, n)
-	scrB := make([]*mem.Buffer, n)
-	scrC := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scrA[r] = c.M.Alloc(r, "2phll.scrA", sg*int64(g))
-		scrB[r] = c.M.Alloc(r, "2phll.scrB", sg*int64(nodes))
-		scrC[r] = c.M.Alloc(r, "2phll.scrC", sg*int64(g))
-	}
+	scrA := c.alloc("2phll.scrA", sg*int64(g))
+	scrB := c.alloc("2phll.scrB", sg*int64(nodes))
+	scrC := c.alloc("2phll.scrC", sg*int64(g))
 	// Intra-node meshes per node; cross-node port meshes per local index.
 	meshA := make([]*mesh, nodes)
 	meshC := make([]*mesh, nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.nodeRanks(node)
-		meshA[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return in[r] },
-			func(r int) *mem.Buffer { return scrA[r] })
-		meshC[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrC[r] })
+		meshA[node] = newMesh(c, c.NodeRanks(node), in, scrA)
+		meshC[node] = newMesh(c, c.NodeRanks(node), out, scrC)
 	}
 	portB := make([]*portMesh, g)
 	for l := 0; l < g; l++ {
-		rs := c.sameLocalRanks(l)
-		portB[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrB[r] })
+		portB[l] = newPortMesh(c, c.ColumnRanks(l), out, scrB)
 	}
 
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 1
-		if size > 256<<10 {
-			nTB = 4
-		}
+	nTB := 1
+	if size > 256<<10 {
+		nTB = 4
 	}
-	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
-		iter++
-		flagA, flagC := 2*iter, 2*iter+1
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			node, l := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				sliceOff := int64(l) * sg
-				localPeers := peersOf(c.nodeRanks(node), r)
-				crossPeers := peersOf(c.sameLocalRanks(l), r)
-				// Phase A: local LL ReduceScatter. Send slice l' of my input
-				// to local peer (node, l'), tagged with my local index.
-				for _, p := range localPeers {
-					meshA[node].at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
-						in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
-				}
-				localCopy(k, out[r], sliceOff, in[r], sliceOff, sg)
-				for _, p := range localPeers {
-					meshA[node].at(r, p).AwaitPackets(k, flagA, uint64(sg))
-					localReduce(k, out[r], sliceOff, scrA[r], int64(p%g)*sg, sg)
-				}
-				k.GridBarrier()
-				// Phase B: one-phase all-pairs across nodes (port channels;
-				// each rank reduces all node partials redundantly).
-				if k.Block == 0 {
-					for _, p := range crossPeers {
-						portB[l].at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
-						portB[l].at(r, p).Signal(k)
-					}
-				}
-				k.GridBarrier()
-				for _, p := range crossPeers {
-					if k.Block == 0 {
-						portB[l].at(r, p).Wait(k)
-					}
-					k.GridBarrier()
-					localReduce(k, out[r], sliceOff, scrB[r], int64(p/g)*sg, sg)
-					k.GridBarrier()
-				}
-				// Phase C: local LL AllGather of the finished slice.
-				for _, p := range localPeers {
-					meshC[node].at(r, p).PutPacketsBuf(k, scrC[p], int64(l)*sg,
-						out[r], sliceOff, sg, k.Block, k.NumBlocks, flagC)
-				}
-				for _, p := range localPeers {
-					meshC[node].at(r, p).AwaitPackets(k, flagC, uint64(sg))
-					localCopy(k, out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg)
-				}
-			})
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		node, l := r/g, r%g
+		flagA, flagC := 2*k.Inv, 2*k.Inv+1
+		sliceOff := int64(l) * sg
+		localPeers := PeersOf(c.NodeRanks(node), r)
+		crossPeers := PeersOf(c.ColumnRanks(l), r)
+		// Phase A: local LL ReduceScatter. Send slice l' of my input
+		// to local peer (node, l'), tagged with my local index.
+		for _, p := range localPeers {
+			meshA[node].at(r, p).PutPacketsBuf(k, scrA[p], int64(l)*sg,
+				in[r], int64(p%g)*sg, sg, k.Block, k.NumBlocks, flagA)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		localCopy(k, out[r], sliceOff, in[r], sliceOff, sg)
+		for _, p := range localPeers {
+			meshA[node].at(r, p).AwaitPackets(k, flagA, uint64(sg))
+			localReduce(k, out[r], sliceOff, scrA[r], int64(p%g)*sg, sg)
+		}
+		k.GridBarrier()
+		// Phase B: one-phase all-pairs across nodes (port channels;
+		// each rank reduces all node partials redundantly).
+		if k.Block == 0 {
+			for _, p := range crossPeers {
+				portB[l].at(r, p).Put(k, int64(node)*sg, sliceOff, sg, 0, 1)
+				portB[l].at(r, p).Signal(k)
+			}
+		}
+		k.GridBarrier()
+		for _, p := range crossPeers {
+			if k.Block == 0 {
+				portB[l].at(r, p).Wait(k)
+			}
+			k.GridBarrier()
+			localReduce(k, out[r], sliceOff, scrB[r], int64(p/g)*sg, sg)
+			k.GridBarrier()
+		}
+		// Phase C: local LL AllGather of the finished slice.
+		for _, p := range localPeers {
+			meshC[node].at(r, p).PutPacketsBuf(k, scrC[p], int64(l)*sg,
+				out[r], sliceOff, sg, k.Block, k.NumBlocks, flagC)
+		}
+		for _, p := range localPeers {
+			meshC[node].at(r, p).AwaitPackets(k, flagC, uint64(sg))
+			localCopy(k, out[r], int64(p%g)*sg, scrC[r], int64(p%g)*sg, sg)
+		}
+	}), nil
 }
 
 // AllReduce2PHHB is the hierarchical AllReduce for large multi-node messages
@@ -138,16 +110,14 @@ func (a *AllReduce2PHLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 // then intra-node AllGather. Data is split into GPUsPerNode slices and each
 // slice into Nodes sub-slices, so cross-node traffic is the minimum
 // 2*(M-1)*S/N per NIC.
-type AllReduce2PHHB struct {
-	TB int
-}
+type AllReduce2PHHB struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PHHB) Name() string { return "mscclpp-2PH-HB" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +126,6 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 		return nil, fmt.Errorf("%s: multi-node only", a.Name())
 	}
 	g, nodes := env.GPUsPerNode, env.Nodes
-	n := c.Ranks()
 	sg := size / int64(g)    // per-local-rank slice
 	sgm := sg / int64(nodes) // per-node sub-slice
 	if sgm%4 != 0 || sgm == 0 {
@@ -164,105 +133,70 @@ func (a *AllReduce2PHHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) 
 	}
 
 	// Cross-node RS scratch: slot per sender node.
-	scrRS := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scrRS[r] = c.M.Alloc(r, "2phhb.scr", sgm*int64(nodes))
-	}
+	scrRS := c.alloc("2phhb.scr", sgm*int64(nodes))
 	meshIntra := make([]*mesh, nodes)
 	for node := 0; node < nodes; node++ {
-		rs := c.nodeRanks(node)
-		meshIntra[node] = newMesh(c, rs,
-			func(r int) *mem.Buffer { return in[r] },
-			func(r int) *mem.Buffer { return in[r] })
+		meshIntra[node] = newMesh(c, c.NodeRanks(node), in, in)
 	}
 	portRS := make([]*portMesh, g)
 	portAG := make([]*portMesh, g)
 	for l := 0; l < g; l++ {
-		rs := c.sameLocalRanks(l)
-		portRS[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return scrRS[r] })
-		portAG[l] = newPortMesh(c, rs,
-			func(r int) *mem.Buffer { return out[r] },
-			func(r int) *mem.Buffer { return out[r] })
+		portRS[l] = newPortMesh(c, c.ColumnRanks(l), out, scrRS)
+		portAG[l] = newPortMesh(c, c.ColumnRanks(l), out, out)
 	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (2 << 20))
-		if nTB < 4 {
-			nTB = 4
+	nTB := min(max(int(size/(2<<20)), 4), 16)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		node, l := r/g, r%g
+		sliceOff := int64(l) * sg
+		localRanks := c.NodeRanks(node)
+		localPeers := PeersOf(localRanks, r)
+		crossPeers := PeersOf(c.ColumnRanks(l), r)
+		// Phase A: per sub-slice, intra-node pull-ReduceScatter,
+		// then immediately ship the sub-slice to its owner node
+		// (asynchronous put overlaps the next sub-slice's pull).
+		for sub := 0; sub < nodes; sub++ {
+			off := sliceOff + int64(sub)*sgm
+			localCopy(k, out[r], off, in[r], off, sgm)
+			for _, p := range localPeers {
+				meshIntra[node].at(r, p).ReduceBuf(k, out[r], off,
+					in[p], off, sgm, k.Block, k.NumBlocks)
+			}
+			k.GridBarrier()
+			if sub != node && k.Block == 0 {
+				owner := sub*g + l
+				portRS[l].at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
+				portRS[l].at(r, owner).Signal(k)
+			}
 		}
-		if nTB > 16 {
-			nTB = 16
+		// Phase B: reduce the other nodes' contributions to my
+		// sub-slice as they arrive.
+		myOff := sliceOff + int64(node)*sgm
+		for _, p := range crossPeers {
+			if k.Block == 0 {
+				portRS[l].at(r, p).Wait(k)
+			}
+			k.GridBarrier()
+			localReduce(k, out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm)
+			k.GridBarrier()
 		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			node, l := r/g, r%g
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				sliceOff := int64(l) * sg
-				localPeers := peersOf(c.nodeRanks(node), r)
-				crossPeers := peersOf(c.sameLocalRanks(l), r)
-				// Phase A: per sub-slice, intra-node pull-ReduceScatter,
-				// then immediately ship the sub-slice to its owner node
-				// (asynchronous put overlaps the next sub-slice's pull).
-				for sub := 0; sub < nodes; sub++ {
-					off := sliceOff + int64(sub)*sgm
-					localCopy(k, out[r], off, in[r], off, sgm)
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).ReduceBuf(k, out[r], off,
-							in[p], off, sgm, k.Block, k.NumBlocks)
-					}
-					k.GridBarrier()
-					if sub != node && k.Block == 0 {
-						owner := sub*g + l
-						portRS[l].at(r, owner).Put(k, int64(node)*sgm, off, sgm, 0, 1)
-						portRS[l].at(r, owner).Signal(k)
-					}
-				}
-				// Phase B: reduce the other nodes' contributions to my
-				// sub-slice as they arrive.
-				myOff := sliceOff + int64(node)*sgm
-				for _, p := range crossPeers {
-					if k.Block == 0 {
-						portRS[l].at(r, p).Wait(k)
-					}
-					k.GridBarrier()
-					localReduce(k, out[r], myOff, scrRS[r], int64(p/g)*sgm, sgm)
-					k.GridBarrier()
-				}
-				// Phase C: cross-node AllGather of my finished sub-slice,
-				// zero-copy into peers' outputs.
-				if k.Block == 0 {
-					for _, p := range crossPeers {
-						portAG[l].at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
-						portAG[l].at(r, p).Signal(k)
-					}
-					for _, p := range crossPeers {
-						portAG[l].at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-				// Phase D: intra-node AllGather of the full slice l.
-				for _, p := range localPeers {
-					meshIntra[node].at(r, p).PutBuf(k, out[p], sliceOff,
-						out[r], sliceOff, sg, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).Signal(k)
-					}
-					for _, p := range localPeers {
-						meshIntra[node].at(r, p).Wait(k)
-					}
-				}
-				k.GridBarrier()
-			})
+		// Phase C: cross-node AllGather of my finished sub-slice,
+		// zero-copy into peers' outputs.
+		if k.Block == 0 {
+			for _, p := range crossPeers {
+				portAG[l].at(r, p).Put(k, myOff, myOff, sgm, 0, 1)
+				portAG[l].at(r, p).Signal(k)
+			}
+			for _, p := range crossPeers {
+				portAG[l].at(r, p).Wait(k)
+			}
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		k.GridBarrier()
+		// Phase D: intra-node AllGather of the full slice l.
+		for _, p := range localPeers {
+			meshIntra[node].at(r, p).PutBuf(k, out[p], sliceOff,
+				out[r], sliceOff, sg, k.Block, k.NumBlocks)
+		}
+		meshIntra[node].gridSync(k, localRanks)
+	}), nil
 }

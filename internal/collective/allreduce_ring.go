@@ -15,8 +15,6 @@ import (
 // node, freeing the SMs during transfers; it delivers the best intra-node
 // throughput at very large message sizes.
 type AllReduce2PR struct {
-	// TB is the thread-block count used for local reductions (0 = auto).
-	TB int
 	// UseMemoryChannel switches the transport to thread-copy MemoryChannel
 	// (for the PortChannel-vs-MemoryChannel ablation, paper §7.1).
 	UseMemoryChannel bool
@@ -40,7 +38,7 @@ type ringChannel interface {
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -57,10 +55,7 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 		return nil, fmt.Errorf("%s: half-chunk %d not 4-byte aligned", a.Name(), half)
 	}
 	// Scratch receives in-flight chunks during ReduceScatter.
-	scr := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scr[r] = c.M.Alloc(r, "2pr.scr", size)
-	}
+	scr := c.alloc("2pr.scr", size)
 	// Ring edges r -> r+1: RS set (out->scr) and AG set (out->out).
 	rsSend := make([]ringChannel, n) // rank r's channel to next
 	rsRecv := make([]ringChannel, n) // rank r's endpoint from prev
@@ -80,16 +75,7 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			agSend[r], agRecv[next] = s2, d2
 		}
 	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (1 << 20))
-		if nTB < 4 {
-			nTB = 4
-		}
-		if nTB > 16 {
-			nTB = 16
-		}
-	}
+	nTB := min(max(int(size/(1<<20)), 4), 16)
 	// putSig issues a signalled transfer on the chosen transport: the
 	// PortChannel path enqueues asynchronously from block 0 (the GPU stays
 	// free to reduce — the Figure 6 overlap); the MemoryChannel path copies
@@ -107,61 +93,54 @@ func (a *AllReduce2PR) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
 			ch.Signal(k)
 		}
 	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				send, recv := rsSend[r], rsRecv[r]
-				// Working copy: out starts as input.
-				localCopy(k, out[r], 0, in[r], 0, size)
-				k.GridBarrier()
-				// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
-				// Step s sends chunk (r-s) and receives chunk (r-s-1); the
-				// received chunk is reduced in halves, the first half's
-				// reduction overlapping the second half's transfer.
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+n-s)%n) * chunk   // chunk to send
-					cr := int64((r+n-s-1)%n) * chunk // chunk arriving
-					putSig(k, send, cs, half)
-					putSig(k, send, cs+half, chunk-half)
-					if k.Block == 0 {
-						recv.Wait(k) // first half of incoming chunk
-					}
-					k.GridBarrier()
-					// Reduce first half while second half is in flight.
-					localReduce(k, out[r], cr, scr[r], cr, half)
-					k.GridBarrier()
-					if k.Block == 0 {
-						recv.Wait(k) // second half
-					}
-					k.GridBarrier()
-					localReduce(k, out[r], cr+half, scr[r], cr+half, chunk-half)
-					k.GridBarrier()
-					if k.Block == 0 && !a.UseMemoryChannel {
-						send.Flush(k)
-					}
-				}
-				// Rank r now owns chunk (r+1)%n fully reduced.
-				// --- Phase 2: ring AllGather, zero-copy into out ---
-				aSend, aRecv := agSend[r], agRecv[r]
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+1+n-s)%n) * chunk // chunk to forward
-					putSig(k, aSend, cs, chunk)
-					if k.Block == 0 {
-						aRecv.Wait(k)
-					}
-					k.GridBarrier()
-				}
-				if k.Block == 0 && !a.UseMemoryChannel {
-					aSend.Flush(k)
-				}
-				k.GridBarrier()
-			})
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		send, recv := rsSend[r], rsRecv[r]
+		// Working copy: out starts as input.
+		localCopy(k, out[r], 0, in[r], 0, size)
+		k.GridBarrier()
+		// --- Phase 1: ring ReduceScatter, half-chunk pipelined ---
+		// Step s sends chunk (r-s) and receives chunk (r-s-1); the
+		// received chunk is reduced in halves, the first half's
+		// reduction overlapping the second half's transfer.
+		for s := 0; s < n-1; s++ {
+			cs := int64((r+n-s)%n) * chunk   // chunk to send
+			cr := int64((r+n-s-1)%n) * chunk // chunk arriving
+			putSig(k, send, cs, half)
+			putSig(k, send, cs+half, chunk-half)
+			if k.Block == 0 {
+				recv.Wait(k) // first half of incoming chunk
+			}
+			k.GridBarrier()
+			// Reduce first half while second half is in flight.
+			localReduce(k, out[r], cr, scr[r], cr, half)
+			k.GridBarrier()
+			if k.Block == 0 {
+				recv.Wait(k) // second half
+			}
+			k.GridBarrier()
+			localReduce(k, out[r], cr+half, scr[r], cr+half, chunk-half)
+			k.GridBarrier()
+			if k.Block == 0 && !a.UseMemoryChannel {
+				send.Flush(k)
+			}
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		// Rank r now owns chunk (r+1)%n fully reduced.
+		// --- Phase 2: ring AllGather, zero-copy into out ---
+		aSend, aRecv := agSend[r], agRecv[r]
+		for s := 0; s < n-1; s++ {
+			cs := int64((r+1+n-s)%n) * chunk // chunk to forward
+			putSig(k, aSend, cs, chunk)
+			if k.Block == 0 {
+				aRecv.Wait(k)
+			}
+			k.GridBarrier()
+		}
+		if k.Block == 0 && !a.UseMemoryChannel {
+			aSend.Flush(k)
+		}
+		k.GridBarrier()
+	}), nil
 }
 
 var _ ringChannel = (*core.PortChannel)(nil)

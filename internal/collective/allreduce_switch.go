@@ -13,16 +13,14 @@ import (
 // multimem.ld_reduce + multimem.st loop over its 1/N slice — the switch
 // aggregates inputs in-network and multicasts results — bracketed by rank
 // barriers. This is the "15 lines of Python" kernel.
-type AllReduce2PASwitch struct {
-	TB int
-}
+type AllReduce2PASwitch struct{}
 
 // Name implements Algorithm.
 func (a *AllReduce2PASwitch) Name() string { return "mscclpp-2PA-Switch" }
 
 // Prepare implements Algorithm.
 func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	size, err := c.ValidateAllReduce(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -32,44 +30,23 @@ func (a *AllReduce2PASwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, err
 	if !c.M.Fabric.HasSwitch() {
 		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	slice := size / int64(n)
+	ranks := c.AllRanks()
+	slice := size / int64(len(ranks))
 	inChans := c.C.NewSwitchChannels(ranks, in)
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
+	nTB := min(max(int(size/(256<<10)), 2), 24)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		// Entry barrier: all inputs registered and ready.
+		if k.Block == 0 {
+			bar.signalWait(k, ranks)
 		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				// Entry barrier: all inputs registered and ready.
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-				// Fused in-switch reduce + multicast of my slice.
-				core.FusedReduceBroadcast(k, inChans[r], outChans[r],
-					int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
-				k.GridBarrier()
-				// Exit barrier: my output regions written by peers' stores.
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		k.GridBarrier()
+		// Fused in-switch reduce + multicast of my slice.
+		core.FusedReduceBroadcast(k, inChans[r], outChans[r],
+			int64(r)*slice, int64(r)*slice, slice, k.Block, k.NumBlocks)
+		// Exit barrier: my output regions written by peers' stores.
+		bar.gridSync(k, ranks)
+	}), nil
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"testing"
 
 	"mscclpp/internal/machine"
@@ -166,6 +167,14 @@ func TestValidateBufferErrors(t *testing.T) {
 	// Wrong count.
 	if _, err := (&AllReduce1PA{}).Prepare(c, in[:4], out); err == nil {
 		t.Fatal("expected count error")
+	}
+	// Nil buffers, rank 0 included: an error, not a nil dereference.
+	for _, r := range []int{0, 5} {
+		nilIn := slices.Clone(in)
+		nilIn[r] = nil
+		if _, err := (&AllReduce1PA{}).Prepare(c, nilIn, out); err == nil {
+			t.Fatalf("expected nil-buffer error for rank %d", r)
+		}
 	}
 }
 

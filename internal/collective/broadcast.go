@@ -13,7 +13,6 @@ import (
 // signal round — zero-copy and single-step, in contrast to send/recv chains.
 type BroadcastFlat struct {
 	Root int
-	TB   int
 }
 
 // Name implements Algorithm.
@@ -23,64 +22,36 @@ func (a *BroadcastFlat) Name() string { return "mscclpp-Broadcast-Flat" }
 // buffer on every rank (in[r] for r != root is ignored, as in NCCL when
 // sendbuff==recvbuff conventions are not used).
 func (a *BroadcastFlat) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	root := a.Root
+	size, err := validateBroadcast(c, a.Name(), in, out, root, false)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
-	n := c.Ranks()
-	root := a.Root
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("%s: root %d out of range", a.Name(), root)
-	}
-	ranks := allRanks(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return out[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
+	ranks := c.AllRanks()
+	m := newMesh(c, ranks, in, out)
+	return NewExec(c, a.Name(), broadcastTB(size), func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		if r == root {
+			peers := PeersOf(ranks, r)
+			for _, p := range peers {
+				m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
+			}
+			localCopy(k, out[r], 0, in[r], 0, size)
+			k.GridBarrier()
+			if k.Block == 0 {
+				m.signalAll(k, peers)
+			}
+		} else if k.Block == 0 {
+			m.at(r, root).Wait(k)
 		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				if r == root {
-					for _, p := range peersOf(ranks, r) {
-						m.at(r, p).Put(k, 0, 0, size, k.Block, k.NumBlocks)
-					}
-					localCopy(k, out[r], 0, in[r], 0, size)
-					k.GridBarrier()
-					if k.Block == 0 {
-						for _, p := range peersOf(ranks, r) {
-							m.at(r, p).Signal(k)
-						}
-					}
-				} else if k.Block == 0 {
-					m.at(r, root).Wait(k)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		k.GridBarrier()
+	}), nil
 }
 
 // BroadcastSwitch multicasts the root's buffer through the NVSwitch in a
 // single multimem.st pass (H100).
 type BroadcastSwitch struct {
 	Root int
-	TB   int
 }
 
 // Name implements Algorithm.
@@ -88,53 +59,45 @@ func (a *BroadcastSwitch) Name() string { return "mscclpp-Broadcast-Switch" }
 
 // Prepare implements Algorithm.
 func (a *BroadcastSwitch) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error) {
-	size, err := validateAllReduceBufs(c, in, out)
+	root := a.Root
+	size, err := validateBroadcast(c, a.Name(), in, out, root, true)
 	if err != nil {
 		return nil, err
 	}
-	if c.M.Env.Nodes != 1 {
-		return nil, fmt.Errorf("%s: single-node only", a.Name())
-	}
-	if !c.M.Fabric.HasSwitch() {
-		return nil, fmt.Errorf("%s: %s has no switch-mapped I/O", a.Name(), c.M.Env.Name)
-	}
-	n := c.Ranks()
-	root := a.Root
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("%s: root %d out of range", a.Name(), root)
-	}
-	ranks := allRanks(n)
+	ranks := c.AllRanks()
 	outChans := c.C.NewSwitchChannels(ranks, out)
 	bar := newBarrier(c, ranks)
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(size / (256 << 10))
-		if nTB < 2 {
-			nTB = 2
+	return NewExec(c, a.Name(), broadcastTB(size), func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		if r == root {
+			outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
 		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				if r == root {
-					outChans[r].BroadcastFrom(k, in[r], 0, 0, size, k.Block, k.NumBlocks)
-				}
-				k.GridBarrier()
-				if k.Block == 0 {
-					bar.sync(k, ranks)
-				}
-				k.GridBarrier()
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		bar.gridSync(k, ranks)
+	}), nil
 }
+
+// validateBroadcast checks a Broadcast's buffers (the AllReduce convention),
+// a single-node machine with switch-mapped I/O if needSwitch, and a root in
+// range, and returns the size in bytes.
+func validateBroadcast(c *Comm, name string, in, out []*mem.Buffer, root int, needSwitch bool) (int64, error) {
+	size, err := c.ValidateAllReduce(in, out)
+	if err != nil {
+		return 0, err
+	}
+	if c.M.Env.Nodes != 1 {
+		return 0, fmt.Errorf("%s: single-node only", name)
+	}
+	if needSwitch && !c.M.Fabric.HasSwitch() {
+		return 0, fmt.Errorf("%s: %s has no switch-mapped I/O", name, c.M.Env.Name)
+	}
+	if root < 0 || root >= c.Ranks() {
+		return 0, fmt.Errorf("%s: root %d out of range", name, root)
+	}
+	return size, nil
+}
+
+// broadcastTB derives a Broadcast's thread-block count from its size.
+func broadcastTB(size int64) int { return min(max(int(size/(256<<10)), 2), 24) }
 
 // Broadcast is the one-call Collective API for Broadcast from root.
 func (c *Comm) Broadcast(in, out []*mem.Buffer, root int) (sim.Duration, error) {

@@ -16,10 +16,23 @@
 // Buffer conventions match NCCL: AllReduce takes equal-sized in/out buffers
 // of S bytes; AllGather takes S/N-byte shards in and S-byte out; ReduceScatter
 // takes S bytes in and S/N out.
+//
+// Writing an algorithm: Prepare validates its buffers with the validator of
+// its convention (ValidateAllReduce, ValidateAllGather or
+// validateReduceScatterBufs), builds its channels and scratch once (newMesh,
+// newPortMesh, newPortRing or newBarrier over the rank groups AllRanks,
+// NodeRanks and ColumnRanks), derives its thread-block count from the
+// message size, and returns NewExec with the kernel body. NewExec is the one
+// launch scaffold: it runs the body on every rank in rank order, and the
+// body reads its rank from k.GPU.Rank and, for LL packet flags, its 1-based
+// invocation number from k.Inv. Blocks split their data with mem.Shard; the
+// block-0 all-peer signal/wait round is mesh.signalWait, or mesh.gridSync
+// between grid barriers.
 package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"mscclpp/internal/core"
 	"mscclpp/internal/machine"
@@ -42,23 +55,26 @@ func New(m *machine.Machine) *Comm {
 func (c *Comm) Ranks() int { return len(c.M.GPUs) }
 
 // Exec is a prepared collective: channels and scratch are set up once;
-// Launch starts one timed invocation's kernels.
+// every Run launches one invocation of its per-rank kernel.
 type Exec struct {
 	Name   string
-	launch func() []*machine.KernelHandle
+	kernel *machine.RankKernel
 }
 
-// NewExec wraps a launch function as an Exec; used by baseline libraries
-// (ncclsim, mscclsim) so benchmarks can time every library uniformly.
-func NewExec(name string, launch func() []*machine.KernelHandle) *Exec {
-	return &Exec{Name: name, launch: launch}
+// NewExec prepares body as a collective kernel with nTB thread blocks on
+// every rank of c. It is the one launch scaffold behind every algorithm of
+// this package and of the baseline libraries (ncclsim, mscclsim), so
+// benchmarks time them all uniformly. body finds its rank in k.GPU.Rank and
+// its 1-based invocation number in k.Inv.
+func NewExec(c *Comm, name string, nTB int, body func(k *machine.Kernel)) *Exec {
+	return &Exec{Name: name, kernel: c.M.NewRankKernel(name, nTB, body)}
 }
 
 // Run performs one invocation of the prepared collective and returns its
 // virtual duration (launch through last data arrival).
 func (c *Comm) Run(ex *Exec) (sim.Duration, error) {
 	start := c.M.Engine.Now()
-	ex.launch()
+	ex.kernel.Launch()
 	if err := c.M.Run(); err != nil {
 		return 0, fmt.Errorf("collective %s: %w", ex.Name, err)
 	}
@@ -74,39 +90,10 @@ type Algorithm interface {
 	Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, error)
 }
 
-// shardRange splits size into nTB 4-byte-aligned shards (same contract as
-// the core package's sharding).
-func shardRange(size int64, tb, nTB int) (off, n int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	startEl := base*int64(tb) + minI64(int64(tb), rem)
-	count := base
-	if int64(tb) < rem {
-		count++
-	}
-	off = startEl * 4
-	n = count * 4
-	if tb == nTB-1 {
-		n += size % 4
-	}
-	return off, n
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // localCopy charges block k its shard of a local size-byte copy and moves
 // the data.
 func localCopy(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64) {
-	off, n := shardRange(size, k.Block, k.NumBlocks)
+	off, n := mem.Shard(size, k.Block, k.NumBlocks)
 	if n == 0 {
 		return
 	}
@@ -117,7 +104,7 @@ func localCopy(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buffer
 // localReduce charges block k its shard of a local size-byte accumulate
 // (dst += src) and applies it.
 func localReduce(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buffer, srcOff, size int64) {
-	off, n := shardRange(size, k.Block, k.NumBlocks)
+	off, n := mem.Shard(size, k.Block, k.NumBlocks)
 	if n == 0 {
 		return
 	}
@@ -125,12 +112,21 @@ func localReduce(k *machine.Kernel, dst *mem.Buffer, dstOff int64, src *mem.Buff
 	dst.AccumulateFrom(src, dstOff+off, srcOff+off, n)
 }
 
-// validateEqualSized checks per-rank buffer arrays.
+// alloc allocates one size-byte buffer named name on every rank.
+func (c *Comm) alloc(name string, size int64) []*mem.Buffer {
+	bufs := make([]*mem.Buffer, c.Ranks())
+	for r := range bufs {
+		bufs[r] = c.M.Alloc(r, name, size)
+	}
+	return bufs
+}
+
+// validateEqualSized checks per-rank buffer arrays: one non-nil buffer per
+// rank, living on that rank, all of one size (returned).
 func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error) {
 	if len(bufs) != c.Ranks() {
 		return 0, fmt.Errorf("collective: %d %s buffers for %d ranks", len(bufs), what, c.Ranks())
 	}
-	size := bufs[0].Size()
 	for r, b := range bufs {
 		if b == nil {
 			return 0, fmt.Errorf("collective: nil %s buffer for rank %d", what, r)
@@ -138,14 +134,17 @@ func validateEqualSized(c *Comm, bufs []*mem.Buffer, what string) (int64, error)
 		if b.Rank != r {
 			return 0, fmt.Errorf("collective: %s buffer %d lives on rank %d", what, r, b.Rank)
 		}
-		if b.Size() != size {
-			return 0, fmt.Errorf("collective: %s buffer sizes differ (%d vs %d)", what, b.Size(), size)
+		if b.Size() != bufs[0].Size() {
+			return 0, fmt.Errorf("collective: %s buffer sizes differ (%d vs %d)", what, b.Size(), bufs[0].Size())
 		}
 	}
-	return size, nil
+	return bufs[0].Size(), nil
 }
 
-func validateAllReduceBufs(c *Comm, in, out []*mem.Buffer) (int64, error) {
+// ValidateAllReduce checks the AllReduce buffer convention (one equal-sized
+// input and output buffer per rank, on that rank, the size a multiple of
+// 4*ranks) and returns the size in bytes.
+func (c *Comm) ValidateAllReduce(in, out []*mem.Buffer) (int64, error) {
 	sIn, err := validateEqualSized(c, in, "input")
 	if err != nil {
 		return 0, err
@@ -170,17 +169,15 @@ type mesh struct {
 }
 
 // newMesh builds pairwise memory channels among ranks, binding each
-// direction a->b as (srcOf(a) on a) -> (dstOf(b) on b).
-func newMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *mesh {
+// direction a->b as src[a] on a -> dst[b] on b (both indexed by rank).
+func newMesh(c *Comm, ranks []int, src, dst []*mem.Buffer) *mesh {
 	m := &mesh{chans: make(map[int]map[int]*core.MemoryChannel)}
 	for _, r := range ranks {
 		m.chans[r] = make(map[int]*core.MemoryChannel)
 	}
 	for i, a := range ranks {
 		for _, b := range ranks[i+1:] {
-			ca, cb := c.C.NewMemoryChannelPairEx(a, b, srcOf(a), dstOf(b), srcOf(b), dstOf(a))
-			m.chans[a][b] = ca
-			m.chans[b][a] = cb
+			m.chans[a][b], m.chans[b][a] = c.C.NewMemoryChannelPairEx(a, b, src[a], dst[b], src[b], dst[a])
 		}
 	}
 	return m
@@ -189,6 +186,44 @@ func newMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *mesh {
 // at returns rank r's channel to peer p.
 func (m *mesh) at(r, p int) *core.MemoryChannel { return m.chans[r][p] }
 
+// signalAll signals k's rank's channel to every peer, in order.
+func (m *mesh) signalAll(k *machine.Kernel, peers []int) {
+	for _, p := range peers {
+		m.at(k.GPU.Rank, p).Signal(k)
+	}
+}
+
+// signalWait is the all-pairs rank barrier among ranks (relaxed-semantics
+// flags in the real implementation): k's rank signals every peer, then
+// waits for every peer's signal. One block per rank runs it.
+func (m *mesh) signalWait(k *machine.Kernel, ranks []int) {
+	peers := PeersOf(ranks, k.GPU.Rank)
+	m.signalAll(k, peers)
+	for _, p := range peers {
+		m.at(k.GPU.Rank, p).Wait(k)
+	}
+}
+
+// gridSync is signalWait run by block 0 between two grid barriers: no block
+// of k's kernel passes it before every peer in ranks has arrived.
+func (m *mesh) gridSync(k *machine.Kernel, ranks []int) {
+	k.GridBarrier()
+	if k.Block == 0 {
+		m.signalWait(k, ranks)
+	}
+	k.GridBarrier()
+}
+
+// newBarrier builds a mesh over 4-byte dummy buffers, used only for its
+// signalWait/gridSync rank barrier (switch-based algorithms).
+func newBarrier(c *Comm, ranks []int) *mesh {
+	dummies := make([]*mem.Buffer, c.Ranks())
+	for _, r := range ranks {
+		dummies[r] = mem.NewBuffer(r, "barrier", 4)
+	}
+	return newMesh(c, ranks, dummies, dummies)
+}
+
 // portMesh is a full set of pairwise PortChannels among a rank subset.
 type portMesh struct {
 	chans map[int]map[int]*core.PortChannel
@@ -196,16 +231,14 @@ type portMesh struct {
 
 // newPortMesh builds pairwise port channels among ranks with per-direction
 // bindings like newMesh.
-func newPortMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *portMesh {
+func newPortMesh(c *Comm, ranks []int, src, dst []*mem.Buffer) *portMesh {
 	m := &portMesh{chans: make(map[int]map[int]*core.PortChannel)}
 	for _, r := range ranks {
 		m.chans[r] = make(map[int]*core.PortChannel)
 	}
 	for i, a := range ranks {
 		for _, b := range ranks[i+1:] {
-			ca, cb := c.C.NewPortChannelPairEx(a, b, srcOf(a), dstOf(b), srcOf(b), dstOf(a))
-			m.chans[a][b] = ca
-			m.chans[b][a] = cb
+			m.chans[a][b], m.chans[b][a] = c.C.NewPortChannelPairEx(a, b, src[a], dst[b], src[b], dst[a])
 		}
 	}
 	return m
@@ -214,16 +247,11 @@ func newPortMesh(c *Comm, ranks []int, srcOf, dstOf func(r int) *mem.Buffer) *po
 // at returns rank r's port channel to peer p.
 func (m *portMesh) at(r, p int) *core.PortChannel { return m.chans[r][p] }
 
-// peers returns r's peers in deterministic order, rotated so each rank
-// starts with a different peer (spreading load, paper §7.2).
-func peersOf(ranks []int, r int) []int {
-	idx := -1
-	for i, x := range ranks {
-		if x == r {
-			idx = i
-			break
-		}
-	}
+// PeersOf returns r's peers within the rank group ranks in deterministic
+// order, rotated so each rank starts with a different peer (spreading load,
+// paper §7.2). It panics if r is not in ranks.
+func PeersOf(ranks []int, r int) []int {
+	idx := slices.Index(ranks, r)
 	if idx < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group %v", r, ranks))
 	}
@@ -234,44 +262,17 @@ func peersOf(ranks []int, r int) []int {
 	return out
 }
 
-// barrier is an all-pairs signal/wait rank barrier used by switch-based
-// algorithms (relaxed-semantics flags in the real implementation).
-type barrier struct {
-	m *mesh
-}
-
-func newBarrier(c *Comm, ranks []int) *barrier {
-	dummies := make(map[int]*mem.Buffer, len(ranks))
-	for _, r := range ranks {
-		dummies[r] = mem.NewBuffer(r, "barrier", 4)
-	}
-	get := func(r int) *mem.Buffer { return dummies[r] }
-	return &barrier{m: newMesh(c, ranks, get, get)}
-}
-
-// sync performs the barrier from block 0 of each rank's kernel; other blocks
-// must synchronize via GridBarrier around it.
-func (b *barrier) sync(k *machine.Kernel, ranks []int) {
-	r := k.GPU.Rank
-	for _, p := range peersOf(ranks, r) {
-		b.m.at(r, p).Signal(k)
-	}
-	for _, p := range peersOf(ranks, r) {
-		b.m.at(r, p).Wait(k)
-	}
-}
-
-// allRanks returns [0..n).
-func allRanks(n int) []int {
-	rs := make([]int, n)
+// AllRanks returns the rank group [0, Ranks()).
+func (c *Comm) AllRanks() []int {
+	rs := make([]int, c.Ranks())
 	for i := range rs {
 		rs[i] = i
 	}
 	return rs
 }
 
-// nodeRanks returns the global ranks of one node.
-func (c *Comm) nodeRanks(node int) []int {
+// NodeRanks returns the global ranks of one node.
+func (c *Comm) NodeRanks(node int) []int {
 	g := c.M.Env.GPUsPerNode
 	rs := make([]int, g)
 	for i := range rs {
@@ -280,8 +281,9 @@ func (c *Comm) nodeRanks(node int) []int {
 	return rs
 }
 
-// sameLocalRanks returns the global ranks with local index l across nodes.
-func (c *Comm) sameLocalRanks(l int) []int {
+// ColumnRanks returns the global ranks with local index l on every node:
+// the cross-node group of hierarchical algorithms.
+func (c *Comm) ColumnRanks(l int) []int {
 	rs := make([]int, c.M.Env.Nodes)
 	for n := range rs {
 		rs[n] = n*c.M.Env.GPUsPerNode + l

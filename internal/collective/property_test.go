@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mscclpp/internal/dsl"
+	"mscclpp/internal/executor"
 	"mscclpp/internal/machine"
 	"mscclpp/internal/mem"
 	"mscclpp/internal/topology"
@@ -60,39 +62,86 @@ func TestAllReduceAlgorithmsProperty(t *testing.T) {
 	}
 }
 
-// Property: repeated invocations of the same prepared Exec keep producing
+// Property: repeated invocations of one prepared kernel keep producing
 // correct results (channel/semaphore/flag state is reusable, as required for
-// CUDA-graph-style steady-state measurement).
+// CUDA-graph-style steady-state measurement). Every LL-flag kernel is
+// covered — the four single-node ones, 2PH-LL on two nodes and a relaunched
+// DSL executor plan — because their packet flags come from the invocation
+// number the launch scaffold hands each invocation (k.Inv). The inputs
+// change before every invocation, so a packet mistaken for a stale one
+// shows up as a wrong result.
 func TestRepeatedInvocationProperty(t *testing.T) {
-	f := func(iters uint8) bool {
-		n := int(iters%5) + 2
-		m := machine.New(topology.A100_40G(1))
-		m.MaterializeLimit = 1 << 40
-		c := New(m)
-		const size = 8192
-		in := make([]*mem.Buffer, c.Ranks())
-		out := make([]*mem.Buffer, c.Ranks())
-		for r := 0; r < c.Ranks(); r++ {
-			in[r] = m.Alloc(r, "in", size)
-			out[r] = m.Alloc(r, "out", size)
-		}
-		FillInputs(in, pattern)
-		ex, err := (&AllReduce1PA{}).Prepare(c, in, out)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if _, err := c.Run(ex); err != nil {
-				return false
-			}
-			if err := CheckAllReduce(out, pattern, 1e-4); err != nil {
-				return false
-			}
-		}
-		return true
+	type check func(out []*mem.Buffer, shard int64, f func(r int, i int64) float32) error
+	checkAR := func(out []*mem.Buffer, _ int64, f func(r int, i int64) float32) error {
+		return CheckAllReduce(out, f, 1e-4)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
+	checkAG := func(out []*mem.Buffer, shard int64, f func(r int, i int64) float32) error {
+		return CheckAllGather(out, shard, f, 0)
+	}
+	checkRS := func(out []*mem.Buffer, _ int64, f func(r int, i int64) float32) error {
+		return CheckReduceScatter(out, f, 1e-4)
+	}
+	prepAlgo := func(a Algorithm) func(c *Comm, in, out []*mem.Buffer) (func() error, error) {
+		return func(c *Comm, in, out []*mem.Buffer) (func() error, error) {
+			ex, err := a.Prepare(c, in, out)
+			return func() error { _, err := c.Run(ex); return err }, err
+		}
+	}
+	prepPlan := func(c *Comm, in, out []*mem.Buffer) (func() error, error) {
+		prog, err := dsl.BuildAllReduce1PA(c.Ranks(), in[0].Size(), 2)
+		if err != nil {
+			return nil, err
+		}
+		pl, err := prog.Lower()
+		if err != nil {
+			return nil, err
+		}
+		inst, err := executor.New(c.C, pl, in, out)
+		return func() error { inst.Launch(); return c.M.Run() }, err
+	}
+	cases := []struct {
+		name          string
+		env           *topology.Env
+		inSize, outSz int64
+		check         check
+		prep          func(c *Comm, in, out []*mem.Buffer) (func() error, error)
+	}{
+		{"1PA", topology.A100_40G(1), 8192, 8192, checkAR, prepAlgo(&AllReduce1PA{})},
+		{"2PA-LL", topology.A100_40G(1), 8192, 8192, checkAR, prepAlgo(&AllReduce2PALL{})},
+		{"AG-AllPairs-LL", topology.A100_40G(1), 1024, 8192, checkAG, prepAlgo(&AllGatherAllPairsLL{})},
+		{"RS-AllPairs-LL", topology.A100_40G(1), 8192, 1024, checkRS, prepAlgo(&ReduceScatterAllPairsLL{})},
+		{"2PH-LL 2 nodes", topology.A100_40G(2), 64 << 10, 64 << 10, checkAR, prepAlgo(&AllReduce2PHLL{})},
+		{"DSL executor 1PA", topology.A100_40G(1), 8192, 8192, checkAR, prepPlan},
+	}
+	for _, tc := range cases {
+		f := func(iters uint8) bool {
+			m := machine.New(tc.env)
+			m.MaterializeLimit = 1 << 40
+			c := New(m)
+			in, out := c.alloc("in", tc.inSize), c.alloc("out", tc.outSz)
+			FillInputs(in, pattern)
+			run, err := tc.prep(c, in, out)
+			if err != nil {
+				t.Logf("%s: %v", tc.name, err)
+				return false
+			}
+			for i := 0; i < int(iters%5)+2; i++ {
+				pat := func(r int, idx int64) float32 { return pattern(r, idx) + float32(i) }
+				FillInputs(in, pat)
+				if err := run(); err != nil {
+					t.Logf("%s invocation %d: %v", tc.name, i+1, err)
+					return false
+				}
+				if err := tc.check(out, tc.inSize, pat); err != nil {
+					t.Logf("%s invocation %d: %v", tc.name, i+1, err)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 3}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

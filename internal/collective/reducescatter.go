@@ -30,9 +30,7 @@ func validateReduceScatterBufs(c *Comm, in, out []*mem.Buffer) (slice int64, err
 
 // ReduceScatterAllPairsLL scatters with the LL protocol: every rank
 // packet-puts slice p of its input to rank p, which reduces arrivals.
-type ReduceScatterAllPairsLL struct {
-	TB int
-}
+type ReduceScatterAllPairsLL struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterAllPairsLL) Name() string { return "mscclpp-RS-AllPairs-LL" }
@@ -46,52 +44,28 @@ func (a *ReduceScatterAllPairsLL) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	scratch := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		scratch[r] = c.M.Alloc(r, "rsll.scratch", slice*int64(n))
-	}
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return scratch[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(slice/(16<<10)) + 1
-		if nTB > 4 {
-			nTB = 4
+	ranks := c.AllRanks()
+	scratch := c.alloc("rsll.scratch", slice*int64(len(ranks)))
+	m := newMesh(c, ranks, in, scratch)
+	nTB := min(int(slice/(16<<10))+1, 4)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
+				in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, k.Inv)
 		}
-	}
-	iter := uint64(0)
-	launch := func() []*machine.KernelHandle {
-		iter++
-		flag := iter
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).PutPacketsBuf(k, scratch[p], int64(r)*slice,
-						in[r], int64(p)*slice, slice, k.Block, k.NumBlocks, flag)
-				}
-				localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).AwaitPackets(k, flag, uint64(slice))
-					localReduce(k, out[r], 0, scratch[r], int64(p)*slice, slice)
-				}
-			})
+		localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).AwaitPackets(k, k.Inv, uint64(slice))
+			localReduce(k, out[r], 0, scratch[r], int64(p)*slice, slice)
 		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	}), nil
 }
 
 // ReduceScatterAllPairsHB scatters by pulling: every rank's thread groups
 // read-reduce its slice from all peers' inputs concurrently, with no
 // synchronization at all (inputs are stable during the collective).
-type ReduceScatterAllPairsHB struct {
-	TB int
-}
+type ReduceScatterAllPairsHB struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterAllPairsHB) Name() string { return "mscclpp-RS-AllPairs-HB" }
@@ -105,45 +79,24 @@ func (a *ReduceScatterAllPairsHB) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec
 	if c.M.Env.Nodes != 1 {
 		return nil, fmt.Errorf("%s: single-node only", a.Name())
 	}
-	n := c.Ranks()
-	ranks := allRanks(n)
-	m := newMesh(c, ranks,
-		func(r int) *mem.Buffer { return in[r] },
-		func(r int) *mem.Buffer { return in[r] })
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = int(slice / (128 << 10))
-		if nTB < 4 {
-			nTB = 4
+	ranks := c.AllRanks()
+	m := newMesh(c, ranks, in, in)
+	nTB := min(max(int(slice/(128<<10)), 4), 24)
+	return NewExec(c, a.Name(), nTB, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
+		for _, p := range PeersOf(ranks, r) {
+			m.at(r, p).ReduceBuf(k, out[r], 0, in[p], int64(r)*slice,
+				slice, k.Block, k.NumBlocks)
 		}
-		if nTB > 24 {
-			nTB = 24
-		}
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for _, r := range ranks {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localCopy(k, out[r], 0, in[r], int64(r)*slice, slice)
-				for _, p := range peersOf(ranks, r) {
-					m.at(r, p).ReduceBuf(k, out[r], 0, in[p], int64(r)*slice,
-						slice, k.Block, k.NumBlocks)
-				}
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+	}), nil
 }
 
 // ReduceScatterRing is the pipelined ring ReduceScatter of paper Figure 6,
 // with half-chunk reduction overlapped with the next half's DMA transfer.
 // Output convention differs from the AllReduce-internal ring: out[r] gets
 // slice r.
-type ReduceScatterRing struct {
-	TB int
-}
+type ReduceScatterRing struct{}
 
 // Name implements Algorithm.
 func (a *ReduceScatterRing) Name() string { return "mscclpp-RS-Ring-Port" }
@@ -166,83 +119,56 @@ func (a *ReduceScatterRing) Prepare(c *Comm, in, out []*mem.Buffer) (*Exec, erro
 		return nil, fmt.Errorf("%s: half-slice %d not aligned", a.Name(), half)
 	}
 	// work[r] accumulates (copy of input); scr receives in-flight chunks.
-	work := make([]*mem.Buffer, n)
-	scr := make([]*mem.Buffer, n)
-	for r := 0; r < n; r++ {
-		work[r] = c.M.Alloc(r, "rsring.work", slice*int64(n))
-		scr[r] = c.M.Alloc(r, "rsring.scr", slice*int64(n))
-	}
-	ring := make([]*ringEdge, n)
-	for r := 0; r < n; r++ {
-		next := (r + 1) % n
-		s, d := c.C.NewPortChannelPairEx(r, next, work[r], scr[next], work[next], scr[r])
-		if ring[r] == nil {
-			ring[r] = &ringEdge{}
+	work := c.alloc("rsring.work", slice*int64(n))
+	scr := c.alloc("rsring.scr", slice*int64(n))
+	ring := newPortRing(c, work, scr)
+	return NewExec(c, a.Name(), 4, func(k *machine.Kernel) {
+		r := k.GPU.Rank
+		localCopy(k, work[r], 0, in[r], 0, slice*int64(n))
+		k.GridBarrier()
+		send, recv := ring[r].send, ring[r].recv
+		// Ring steps: after n-1 steps rank r owns chunk (r+1)%n; the
+		// ring is oriented so that one final hop is avoided by
+		// defining ownership accordingly, then the owned chunk is
+		// copied to out.
+		for s := 0; s < n-1; s++ {
+			cs := int64((r+n-s)%n) * slice
+			cr := int64((r+n-s-1)%n) * slice
+			if k.Block == 0 {
+				send.Put(k, cs, cs, half, 0, 1)
+				send.Signal(k)
+				send.Put(k, cs+half, cs+half, slice-half, 0, 1)
+				send.Signal(k)
+				recv.Wait(k)
+			}
+			k.GridBarrier()
+			localReduce(k, work[r], cr, scr[r], cr, half)
+			k.GridBarrier()
+			if k.Block == 0 {
+				recv.Wait(k)
+			}
+			k.GridBarrier()
+			localReduce(k, work[r], cr+half, scr[r], cr+half, slice-half)
+			k.GridBarrier()
+			if k.Block == 0 {
+				send.Flush(k)
+			}
 		}
-		if ring[next] == nil {
-			ring[next] = &ringEdge{}
+		// Rank r owns chunk (r+1)%n. The API promises slice r in
+		// out[r], so rank (r-1) holds slice r... each rank therefore
+		// forwards its owned chunk to the owner-by-convention.
+		owned := int64((r+1)%n) * slice
+		k.GridBarrier()
+		if k.Block == 0 {
+			// One extra hop delivers the owned chunk to its
+			// conventional owner (the next rank in the ring).
+			send.Put(k, owned, owned, slice, 0, 1)
+			send.Signal(k)
+			recv.Wait(k)
+			send.Flush(k)
 		}
-		ring[r].send = s
-		ring[next].recv = d
-	}
-	nTB := a.TB
-	if nTB == 0 {
-		nTB = 4
-	}
-	launch := func() []*machine.KernelHandle {
-		handles := make([]*machine.KernelHandle, n)
-		for r := 0; r < n; r++ {
-			r := r
-			handles[r] = c.M.GPUs[r].Launch(a.Name(), nTB, func(k *machine.Kernel) {
-				localCopy(k, work[r], 0, in[r], 0, slice*int64(n))
-				k.GridBarrier()
-				send, recv := ring[r].send, ring[r].recv
-				// Ring steps: after n-1 steps rank r owns chunk (r+1)%n; the
-				// ring is oriented so that one final hop is avoided by
-				// defining ownership accordingly, then the owned chunk is
-				// copied to out.
-				for s := 0; s < n-1; s++ {
-					cs := int64((r+n-s)%n) * slice
-					cr := int64((r+n-s-1)%n) * slice
-					if k.Block == 0 {
-						send.Put(k, cs, cs, half, 0, 1)
-						send.Signal(k)
-						send.Put(k, cs+half, cs+half, slice-half, 0, 1)
-						send.Signal(k)
-						recv.Wait(k)
-					}
-					k.GridBarrier()
-					localReduce(k, work[r], cr, scr[r], cr, half)
-					k.GridBarrier()
-					if k.Block == 0 {
-						recv.Wait(k)
-					}
-					k.GridBarrier()
-					localReduce(k, work[r], cr+half, scr[r], cr+half, slice-half)
-					k.GridBarrier()
-					if k.Block == 0 {
-						send.Flush(k)
-					}
-				}
-				// Rank r owns chunk (r+1)%n. The API promises slice r in
-				// out[r], so rank (r-1) holds slice r... each rank therefore
-				// forwards its owned chunk to the owner-by-convention.
-				owned := int64((r+1)%n) * slice
-				k.GridBarrier()
-				if k.Block == 0 {
-					// One extra hop delivers the owned chunk to its
-					// conventional owner (the next rank in the ring).
-					send.Put(k, owned, owned, slice, 0, 1)
-					send.Signal(k)
-					recv.Wait(k)
-					send.Flush(k)
-				}
-				k.GridBarrier()
-				// My slice arrived in scr; publish to out.
-				localCopy(k, out[r], 0, scr[r], int64(r)*slice, slice)
-			})
-		}
-		return handles
-	}
-	return &Exec{Name: a.Name(), launch: launch}, nil
+		k.GridBarrier()
+		// My slice arrived in scr; publish to out.
+		localCopy(k, out[r], 0, scr[r], int64(r)*slice, slice)
+	}), nil
 }

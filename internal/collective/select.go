@@ -19,6 +19,7 @@ const (
 	OpReduceScatter
 )
 
+// String returns the operation's NCCL-style name, e.g. "AllReduce".
 func (o Op) String() string {
 	switch o {
 	case OpAllReduce:

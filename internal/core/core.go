@@ -73,43 +73,6 @@ type Channel interface {
 	RemoteRank() int
 }
 
-// shardRange splits size bytes into nTB 4-byte-aligned shards and returns
-// the half-open byte range assigned to block tb.
-func shardRange(size int64, tb, nTB int) (off, n int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	startEl := base*int64(tb) + min64(int64(tb), rem)
-	count := base
-	if int64(tb) < rem {
-		count++
-	}
-	off = startEl * 4
-	n = count * 4
-	if tb == nTB-1 {
-		// Absorb any non-4-byte tail.
-		n += size % 4
-	}
-	return off, n
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // awaitAndApply schedules apply at time t and blocks the kernel until then.
 // apply runs before the kernel resumes (FIFO event ordering at equal
 // timestamps), so data written by apply is visible to subsequent kernel code.

@@ -23,6 +23,7 @@ const (
 	ProtoLL
 )
 
+// String returns the protocol's short name ("LL" or "HB").
 func (p Protocol) String() string {
 	if p == ProtoLL {
 		return "LL"
@@ -139,13 +140,13 @@ func (ch *MemoryChannel) put(k *machine.Kernel, dst *mem.Buffer, dstOff int64,
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
 	wireBytes := int64(float64(n) * trafficFactor)
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, wireBytes, model.ThreadCopyBWPerTB)
-	ch.lastVisible = maxTime(ch.lastVisible, complete)
+	ch.lastVisible = max(ch.lastVisible, complete)
 	awaitAndApply(k, complete-k.Machine().Env.IntraLat, nil) // threads busy issuing stores
 	k.Machine().Engine.At(complete, func() {
 		src.CopyTo(dst, dstOff+off, srcOff+off, n)
@@ -177,7 +178,7 @@ func (ch *MemoryChannel) PutPackets(k *machine.Kernel, dstOff, srcOff, size int6
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -201,7 +202,7 @@ func (ch *MemoryChannel) PutPacketsBuf(k *machine.Kernel, dst *mem.Buffer, dstOf
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -238,8 +239,8 @@ func (ch *MemoryChannel) Signal(k *machine.Kernel) {
 	model := k.Model()
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
 	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := maxTime(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = maxTime(arrive, ch.lastSignal+1)
+	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
+	arrive = max(arrive, ch.lastSignal+1)
 	ch.lastSignal = arrive
 	ch.sendSem.AddAt(arrive, 1)
 }
@@ -264,10 +265,10 @@ func (ch *MemoryChannel) Flush(k *machine.Kernel) {
 func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size int64, tb, nTB int) {
 	ch.checkKernel(k)
 	model := k.Model()
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n > 0 {
 		complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, model.ThreadCopyBWPerTB)
-		ch.lastVisible = maxTime(ch.lastVisible, complete)
+		ch.lastVisible = max(ch.lastVisible, complete)
 		dst, src := ch.remoteBuf, ch.localBuf
 		k.Machine().Engine.At(complete, func() {
 			src.CopyTo(dst, dstOff+off, srcOff+off, n)
@@ -276,8 +277,8 @@ func (ch *MemoryChannel) PutWithSignal(k *machine.Kernel, dstOff, srcOff, size i
 	}
 	k.Elapse(model.MemFenceCost + model.SemSignalCost)
 	lat := k.Fabric().SignalLatency(ch.local, ch.remote)
-	arrive := maxTime(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
-	arrive = maxTime(arrive, ch.lastSignal+1)
+	arrive := max(k.Now()+lat, ch.lastVisible+model.SemSignalCost)
+	arrive = max(arrive, ch.lastSignal+1)
 	ch.lastSignal = arrive
 	ch.sendSem.AddAt(arrive, 1)
 }
@@ -290,7 +291,7 @@ func (ch *MemoryChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -312,7 +313,7 @@ func (ch *MemoryChannel) ReduceBuf(k *machine.Kernel, dst *mem.Buffer, dstOff in
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -331,7 +332,7 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -340,7 +341,7 @@ func (ch *MemoryChannel) ReducePut(k *machine.Kernel, dstOff, srcOff int64,
 		rate = model.ThreadCopyBWPerTB
 	}
 	complete := k.Fabric().P2P(k.Now(), ch.local, ch.remote, n, rate)
-	ch.lastVisible = maxTime(ch.lastVisible, complete)
+	ch.lastVisible = max(ch.lastVisible, complete)
 	dst, src := ch.remoteBuf, ch.localBuf
 	k.Machine().Engine.At(complete, func() {
 		src.CopyTo(dst, dstOff+off, srcOff+off, n)

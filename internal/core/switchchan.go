@@ -75,7 +75,7 @@ func (ch *SwitchChannel) Reduce(k *machine.Kernel, dstOff, srcOff, size int64, t
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -96,7 +96,7 @@ func (ch *SwitchChannel) ReduceInto(k *machine.Kernel, dst *mem.Buffer, dstOff, 
 	}
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -116,7 +116,7 @@ func (ch *SwitchChannel) BroadcastFrom(k *machine.Kernel, src *mem.Buffer, srcOf
 	}
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -139,7 +139,7 @@ func FusedReduceBroadcast(k *machine.Kernel, in, out *SwitchChannel, dstOff, src
 	out.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}
@@ -156,7 +156,7 @@ func (ch *SwitchChannel) Broadcast(k *machine.Kernel, dstOff, srcOff, size int64
 	ch.checkKernel(k)
 	model := k.Model()
 	k.Elapse(model.InstrOverhead)
-	off, n := shardRange(size, tb, nTB)
+	off, n := mem.Shard(size, tb, nTB)
 	if n == 0 {
 		return
 	}

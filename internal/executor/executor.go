@@ -29,7 +29,7 @@ type Instance struct {
 	portDst map[int]*core.PortChannel
 	swChans map[int]map[int]*core.SwitchChannel // channel id -> rank -> endpoint
 
-	iter uint64
+	kernel *machine.RankKernel
 }
 
 // New binds pl to per-rank input/output buffers, allocating scratch and
@@ -97,6 +97,14 @@ func New(c *core.Communicator, pl *plan.Plan, in, out []*mem.Buffer) (*Instance,
 			return nil, fmt.Errorf("executor: unknown channel type %q", ch.Type)
 		}
 	}
+	// Each invocation offsets the plan's LL flags past every flag the
+	// previous one used, so no packet is mistaken for a stale one.
+	x.kernel = m.NewRankKernel("dsl-exec/"+pl.Name, pl.NumTB, func(k *machine.Kernel) {
+		flagBase := (k.Inv - 1) * (pl.MaxFlag + 1)
+		for _, op := range pl.Programs[k.GPU.Rank][k.Block] {
+			x.step(k, op, flagBase)
+		}
+	})
 	return x, nil
 }
 
@@ -114,21 +122,7 @@ func (x *Instance) resolve(b plan.BufRef) *mem.Buffer {
 
 // Launch starts one invocation: the generic execution kernel on every rank
 // interprets its thread blocks' op streams.
-func (x *Instance) Launch() []*machine.KernelHandle {
-	x.iter++
-	flagBase := (x.iter - 1) * (x.Plan.MaxFlag + 1)
-	handles := make([]*machine.KernelHandle, x.Plan.Ranks)
-	for r := 0; r < x.Plan.Ranks; r++ {
-		r := r
-		handles[r] = x.M.GPUs[r].Launch("dsl-exec/"+x.Plan.Name, x.Plan.NumTB, func(k *machine.Kernel) {
-			ops := x.Plan.Programs[r][k.Block]
-			for _, op := range ops {
-				x.step(k, op, flagBase)
-			}
-		})
-	}
-	return handles
-}
+func (x *Instance) Launch() []*machine.KernelHandle { return x.kernel.Launch() }
 
 // step interprets one operation, charging the interpreter dispatch cost.
 func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
@@ -183,13 +177,13 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 		x.memSrc[op.Channel].ReducePut(k, op.Dst.Off, op.Src.Off,
 			x.resolve(op.Data.Buf), op.Data.Off, op.Src.Size, gi, g)
 	case plan.OpLocalCopy:
-		off, n := shard(op.Src.Size, gi, g)
+		off, n := mem.Shard(op.Src.Size, gi, g)
 		if n > 0 {
 			k.LocalCopy(n, 1)
 			x.resolve(op.Src.Buf).CopyTo(x.resolve(op.Dst.Buf), op.Dst.Off+off, op.Src.Off+off, n)
 		}
 	case plan.OpLocalReduce:
-		off, n := shard(op.Src.Size, gi, g)
+		off, n := mem.Shard(op.Src.Size, gi, g)
 		if n > 0 {
 			k.LocalReduce(n, 1)
 			x.resolve(op.Dst.Buf).AccumulateFrom(x.resolve(op.Src.Buf), op.Dst.Off+off, op.Src.Off+off, n)
@@ -207,31 +201,4 @@ func (x *Instance) step(k *machine.Kernel, op plan.Op, flagBase uint64) {
 	default:
 		panic(fmt.Sprintf("executor: unknown op %q", op.Code))
 	}
-}
-
-func shard(size int64, tb, nTB int) (off, n int64) {
-	if nTB <= 1 {
-		return 0, size
-	}
-	el := size / 4
-	base := el / int64(nTB)
-	rem := el % int64(nTB)
-	start := base*int64(tb) + min64(int64(tb), rem)
-	cnt := base
-	if int64(tb) < rem {
-		cnt++
-	}
-	off = start * 4
-	n = cnt * 4
-	if tb == nTB-1 {
-		n += size % 4
-	}
-	return
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -115,6 +115,40 @@ func (h *KernelHandle) Wait(p *sim.Proc) {
 // Launch may be called from outside any Proc (events are scheduled at the
 // engine's current time).
 func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) *KernelHandle {
+	return g.launch(name, nblocks, 0, body)
+}
+
+// RankKernel is the launch scaffold of every collective kernel: one kernel
+// with the same name, block count and body on every rank of the machine.
+// Each Launch is one invocation; the body reads its 1-based number from
+// Kernel.Inv, which LL kernels fold into their packet flags so no
+// invocation can consume a previous one's packets.
+type RankKernel struct {
+	m       *Machine
+	name    string
+	nblocks int
+	body    func(k *Kernel)
+	inv     uint64
+}
+
+// NewRankKernel prepares a per-rank kernel; nothing runs until Launch. The
+// body finds its rank in k.GPU.Rank.
+func (m *Machine) NewRankKernel(name string, nblocks int, body func(k *Kernel)) *RankKernel {
+	return &RankKernel{m: m, name: name, nblocks: nblocks, body: body}
+}
+
+// Launch starts the next invocation on every rank, in rank order, and
+// returns the per-rank handles.
+func (rk *RankKernel) Launch() []*KernelHandle {
+	rk.inv++
+	handles := make([]*KernelHandle, len(rk.m.GPUs))
+	for r, g := range rk.m.GPUs {
+		handles[r] = g.launch(rk.name, rk.nblocks, rk.inv, rk.body)
+	}
+	return handles
+}
+
+func (g *GPU) launch(name string, nblocks int, inv uint64, body func(k *Kernel)) *KernelHandle {
 	if nblocks < 1 {
 		panic(fmt.Sprintf("machine: kernel %s launched with %d blocks", name, nblocks))
 	}
@@ -130,7 +164,7 @@ func (g *GPU) Launch(name string, nblocks int, body func(k *Kernel)) *KernelHand
 		for b := 0; b < nblocks; b++ {
 			blk := b
 			e.Spawn(prefix+strconv.Itoa(blk), func(p *sim.Proc) {
-				k := &Kernel{P: p, GPU: g, Block: blk, NumBlocks: nblocks, grid: grid}
+				k := &Kernel{P: p, GPU: g, Block: blk, NumBlocks: nblocks, Inv: inv, grid: grid}
 				body(k)
 				h.wg.Done()
 			})
@@ -154,7 +188,10 @@ type Kernel struct {
 	GPU       *GPU
 	Block     int
 	NumBlocks int
-	grid      *gridState
+	// Inv is the 1-based invocation number under a RankKernel (0 for a
+	// kernel started by GPU.Launch).
+	Inv  uint64
+	grid *gridState
 }
 
 // Machine returns the owning machine.

@@ -71,6 +71,51 @@ func TestKernelLaunchOverheadAndJoin(t *testing.T) {
 	}
 }
 
+// A RankKernel launches one kernel per rank in rank order, one handle per
+// rank, and numbers its invocations from 1; a plain GPU.Launch has Inv 0.
+func TestRankKernelInvocations(t *testing.T) {
+	m := New(topology.A100_40G(1))
+	type start struct {
+		rank, block int
+		inv         uint64
+	}
+	var starts []start
+	rk := m.NewRankKernel("rk", 2, func(k *Kernel) {
+		starts = append(starts, start{k.GPU.Rank, k.Block, k.Inv})
+	})
+	for inv := uint64(1); inv <= 3; inv++ {
+		starts = starts[:0]
+		handles := rk.Launch()
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(handles) != len(m.GPUs) {
+			t.Fatalf("%d handles for %d ranks", len(handles), len(m.GPUs))
+		}
+		for r, h := range handles {
+			if h.GPU.Rank != r || h.Name != "rk" {
+				t.Fatalf("handle %d = %s on rank %d", r, h.Name, h.GPU.Rank)
+			}
+		}
+		if len(starts) != 2*len(m.GPUs) {
+			t.Fatalf("invocation %d ran %d blocks", inv, len(starts))
+		}
+		for i, s := range starts {
+			if want := (start{i / 2, i % 2, inv}); s != want {
+				t.Fatalf("block %d of invocation %d = %+v, want %+v", i, inv, s, want)
+			}
+		}
+	}
+	m.GPUs[0].Launch("plain", 1, func(k *Kernel) {
+		if k.Inv != 0 {
+			t.Errorf("GPU.Launch kernel has Inv %d", k.Inv)
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGridBarrier(t *testing.T) {
 	m := New(topology.A100_40G(1))
 	const blocks = 8

@@ -49,6 +49,29 @@ func (b *Buffer) Materialized() bool { return b.data != nil }
 // Bytes returns the backing storage (nil for virtual buffers).
 func (b *Buffer) Bytes() []byte { return b.data }
 
+// Shard is the thread-block split rule every kernel uses: size bytes are
+// cut into nTB 4-byte-aligned shards, the first size/4 % nTB blocks taking
+// one element more, and the last block also absorbing any non-4-byte tail.
+// It returns the half-open byte range [off, off+n) of block tb; nTB <= 1
+// gives the whole range to one block.
+func Shard(size int64, tb, nTB int) (off, n int64) {
+	if nTB <= 1 {
+		return 0, size
+	}
+	el := size / 4
+	base := el / int64(nTB)
+	rem := el % int64(nTB)
+	off = (base*int64(tb) + min(int64(tb), rem)) * 4
+	n = base * 4
+	if int64(tb) < rem {
+		n += 4
+	}
+	if tb == nTB-1 {
+		n += size % 4
+	}
+	return off, n
+}
+
 func (b *Buffer) check(off, n int64) {
 	if off < 0 || n < 0 || off+n > b.size {
 		panic(fmt.Sprintf("mem: out-of-bounds access [%d,%d) of %s (size %d)",
